@@ -1,14 +1,21 @@
-// Shared scaffolding for the figure-reproduction and ablation benches.
+// Shared scaffolding for the figure-reproduction, ablation and perf benches.
 //
-// Every bench binary follows the same recipe: parse the common flags, run a
-// sweep on the shared thread pool, print the paper-style table plus an ASCII
-// chart of the series, and drop a CSV next to the binary (best effort).
+// Every figure/ablation binary follows the same recipe: parse the common
+// flags, run a sweep on the shared thread pool, print the paper-style table
+// plus an ASCII chart of the series, and drop a CSV next to the binary (best
+// effort). The perf_* harnesses share the sized workload, the timing loops
+// and the JSON number format below.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "dsslice/dsslice.hpp"
 
@@ -92,6 +99,103 @@ inline std::string machine_json(std::size_t threads) {
   out += ", \"isa_runtime\": \"" + isa_runtime() + "\"";
   out += "}";
   return out;
+}
+
+/// Fixed-size workload for the perf harnesses: exactly `tasks` tasks on
+/// `processors` processors. Depth scales as sqrt(n) so BOTH depth and level
+/// width grow with n. The old tasks/5 rule made depth grow linearly, so
+/// width stayed at ~5 tasks for every size: a 1024-task "graph" was a
+/// 204-level chain with less ready-set pressure than the 512-task one, and
+/// measured time per scheduled task *fell* as n grew (docs/PERFORMANCE.md).
+inline GeneratorConfig sized_config(std::size_t tasks,
+                                    std::size_t processors) {
+  GeneratorConfig cfg;
+  cfg.platform.processor_count = processors;
+  cfg.workload.min_tasks = tasks;
+  cfg.workload.max_tasks = tasks;
+  const auto depth = static_cast<std::size_t>(
+      std::lround(std::sqrt(static_cast<double>(tasks))));
+  cfg.workload.min_depth = std::max<std::size_t>(2, depth);
+  cfg.workload.max_depth = std::max<std::size_t>(2, depth);
+  cfg.base_seed = 0xBE7C;
+  return cfg;
+}
+
+/// Runs `body` repeatedly until at least `min_seconds` of wall time has
+/// accumulated (and at least `min_reps` repetitions), returning the mean
+/// seconds per call.
+template <typename F>
+double time_per_call(double min_seconds, std::size_t min_reps, F&& body) {
+  using Clock = std::chrono::steady_clock;
+  std::size_t reps = 0;
+  double elapsed = 0.0;
+  std::size_t batch = 1;
+  while (elapsed < min_seconds || reps < min_reps) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < batch; ++i) {
+      body();
+    }
+    elapsed += std::chrono::duration<double>(Clock::now() - t0).count();
+    reps += batch;
+    batch = std::min<std::size_t>(batch * 2, 4096);
+  }
+  return elapsed / static_cast<double>(reps);
+}
+
+/// Interleaved paired timing: alternating batches of the two bodies until
+/// each has accumulated at least `min_seconds` of wall time (and `min_reps`
+/// repetitions), returning {seconds_per_call_a, seconds_per_call_b}.
+/// Interleaving spreads the drift of shared hardware over both sides of the
+/// ratio. The order within each iteration alternates too — on small
+/// machines the timer interrupt pattern correlates with phase, and a fixed
+/// a-then-b order turns that into a systematic bias on the side measured
+/// first.
+template <typename A, typename B>
+std::pair<double, double> time_per_call_pair(double min_seconds,
+                                             std::size_t min_reps, A&& body_a,
+                                             B&& body_b) {
+  using Clock = std::chrono::steady_clock;
+  std::size_t reps_a = 0, reps_b = 0;
+  double elapsed_a = 0.0, elapsed_b = 0.0;
+  std::size_t batch = 1;
+  bool a_first = true;
+  const auto run_a = [&](std::size_t n) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < n; ++i) {
+      body_a();
+    }
+    elapsed_a += std::chrono::duration<double>(Clock::now() - t0).count();
+    reps_a += n;
+  };
+  const auto run_b = [&](std::size_t n) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < n; ++i) {
+      body_b();
+    }
+    elapsed_b += std::chrono::duration<double>(Clock::now() - t0).count();
+    reps_b += n;
+  };
+  while (elapsed_a < min_seconds || elapsed_b < min_seconds ||
+         reps_a < min_reps || reps_b < min_reps) {
+    if (a_first) {
+      run_a(batch);
+      run_b(batch);
+    } else {
+      run_b(batch);
+      run_a(batch);
+    }
+    a_first = !a_first;
+    batch = std::min<std::size_t>(batch * 2, 4096);
+  }
+  return {elapsed_a / static_cast<double>(reps_a),
+          elapsed_b / static_cast<double>(reps_b)};
+}
+
+/// Number formatting of the perf JSON reports (BENCH_*.json): `%.6g`.
+inline std::string json_number(double v) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.6g", v);
+  return buffer;
 }
 
 /// Registers the flags every bench shares.

@@ -1,27 +1,20 @@
 // M1: google-benchmark micro-benchmarks for the algorithmic kernels,
 // checking the complexity classes the paper quotes:
 //  * SLICING main loop: O(n²) per application (§4.4);
-//  * transitive closure for ADAPT-L: within the quoted O(n³) (§4.5);
+//  * graph analysis (transitive closure) for ADAPT-L: within the quoted
+//    O(n³) (§4.5);
 //  * EDF list scheduler: O(n²·m) (§5.4).
 #include <benchmark/benchmark.h>
 #include <cstdint>
 
 #include "dsslice/dsslice.hpp"
 
+#include "bench_common.hpp"
+
 namespace {
 
 using namespace dsslice;
-
-GeneratorConfig sized_config(std::size_t tasks, std::size_t processors) {
-  GeneratorConfig cfg;
-  cfg.platform.processor_count = processors;
-  cfg.workload.min_tasks = tasks;
-  cfg.workload.max_tasks = tasks;
-  cfg.workload.min_depth = std::max<std::size_t>(2, tasks / 5);
-  cfg.workload.max_depth = std::max<std::size_t>(2, tasks / 5);
-  cfg.base_seed = 0xBE7C;
-  return cfg;
-}
+using bench::sized_config;
 
 void BM_SlicingByMetric(benchmark::State& state, MetricKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -43,20 +36,6 @@ void BM_SlicingAdaptL(benchmark::State& state) {
 }
 BENCHMARK(BM_SlicingPure)->RangeMultiplier(2)->Range(16, 512)->Complexity();
 BENCHMARK(BM_SlicingAdaptL)->RangeMultiplier(2)->Range(16, 512)->Complexity();
-
-void BM_TransitiveClosure(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Scenario sc = generate_scenario_at(sized_config(n, 3), 1);
-  for (auto _ : state) {
-    TransitiveClosure closure(sc.application.graph());
-    benchmark::DoNotOptimize(closure.parallel_set_size(0));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_TransitiveClosure)
-    ->RangeMultiplier(2)
-    ->Range(16, 1024)
-    ->Complexity();
 
 void BM_GraphAnalysisBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -60,51 +60,6 @@ __attribute__((noinline)) std::uint64_t kernel_instrumented(std::uint64_t x) {
   return x;
 }
 
-/// Interleaved paired timing (same scheme as perf_scheduling): alternating
-/// batches of the two bodies so drift hits both sides equally. The order
-/// within each iteration alternates too — on small machines the timer
-/// interrupt pattern correlates with phase, and a fixed a-then-b order
-/// turns that into a systematic bias on the side measured first.
-template <typename A, typename B>
-std::pair<double, double> time_per_call_pair(double min_seconds,
-                                             std::size_t min_reps, A&& body_a,
-                                             B&& body_b) {
-  std::size_t reps_a = 0, reps_b = 0;
-  double elapsed_a = 0.0, elapsed_b = 0.0;
-  std::size_t batch = 1;
-  bool a_first = true;
-  const auto run_a = [&](std::size_t n) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < n; ++i) {
-      body_a();
-    }
-    elapsed_a += std::chrono::duration<double>(Clock::now() - t0).count();
-    reps_a += n;
-  };
-  const auto run_b = [&](std::size_t n) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < n; ++i) {
-      body_b();
-    }
-    elapsed_b += std::chrono::duration<double>(Clock::now() - t0).count();
-    reps_b += n;
-  };
-  while (elapsed_a < min_seconds || elapsed_b < min_seconds ||
-         reps_a < min_reps || reps_b < min_reps) {
-    if (a_first) {
-      run_a(batch);
-      run_b(batch);
-    } else {
-      run_b(batch);
-      run_a(batch);
-    }
-    a_first = !a_first;
-    batch = std::min<std::size_t>(batch * 2, 4096);
-  }
-  return {elapsed_a / static_cast<double>(reps_a),
-          elapsed_b / static_cast<double>(reps_b)};
-}
-
 double percent_delta(double base, double other) {
   return base <= 0.0 ? 0.0 : 100.0 * (other - base) / base;
 }
@@ -181,7 +136,7 @@ int main(int argc, char** argv) {
   // here is scheduler/frequency noise, not code. Sampled again after the
   // gated measurement — one sample under-reports on machines whose noise
   // comes in bursts, and the gates scale with the worst observed.
-  const auto [aa_first, aa_second] = time_per_call_pair(
+  const auto [aa_first, aa_second] = bench::time_per_call_pair(
       min_seconds, min_reps, [&] { g_sink = kernel_bare(++seed); },
       [&] { g_sink = kernel_bare(++seed); });
   double noise_pct = std::fabs(percent_delta(aa_first, aa_second));
@@ -195,7 +150,7 @@ int main(int argc, char** argv) {
   // early once clearly inside the tightest floor.
   double bare_s = 0.0, off_s = 0.0, disabled_pct = 0.0;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    const auto [b, o] = time_per_call_pair(
+    const auto [b, o] = bench::time_per_call_pair(
         min_seconds, min_reps, [&] { g_sink = kernel_bare(++seed); },
         [&] { g_sink = kernel_instrumented(++seed); });
     const double pct = percent_delta(b, o);
@@ -212,7 +167,7 @@ int main(int argc, char** argv) {
       Row{"instrumented, tracing OFF vs bare", bare_s * 1e6, off_s * 1e6,
           disabled_pct});
 
-  const auto [aa2_first, aa2_second] = time_per_call_pair(
+  const auto [aa2_first, aa2_second] = bench::time_per_call_pair(
       min_seconds, min_reps, [&] { g_sink = kernel_bare(++seed); },
       [&] { g_sink = kernel_bare(++seed); });
   noise_pct = std::max(noise_pct,
@@ -222,7 +177,7 @@ int main(int argc, char** argv) {
   obs::set_ring_capacity(1024);
   obs::reset();
   obs::set_enabled(true);
-  const auto [bare2_s, on_s] = time_per_call_pair(
+  const auto [bare2_s, on_s] = bench::time_per_call_pair(
       min_seconds, min_reps, [&] { g_sink = kernel_bare(++seed); },
       [&] { g_sink = kernel_instrumented(++seed); });
   obs::set_enabled(false);
@@ -238,7 +193,7 @@ int main(int argc, char** argv) {
     const ExperimentResult r = run_experiment_serial(config);
     g_sink = r.success.trials();
   };
-  const auto [pipe_off_s, pipe_on_s] = time_per_call_pair(
+  const auto [pipe_off_s, pipe_on_s] = bench::time_per_call_pair(
       min_seconds, 4, run_batch_once,
       [&] {
         obs::set_enabled(true);

@@ -14,604 +14,32 @@
 // plus an end-to-end comparison: evaluate_scenario-style loops (generate +
 // slice + schedule) with the legacy schedulers vs the engine.
 //
-// The "legacy" code below is the pre-engine implementation, carried
-// verbatim so both variants compile into one binary under identical flags.
-// The equivalence suite (tests/test_scheduler_equivalence.cpp) pins the two
-// to bit-identical schedules; this harness re-asserts identity on its own
-// scenarios, asserts the warm engine loops perform zero scheduler-state
-// allocations (SchedulerWorkspace::grow_events), then reports speedups and
-// writes BENCH_scheduling.json.
-#include <algorithm>
-#include <chrono>
-#include <cmath>
+// The "legacy" side is the pre-engine implementation, reference::list_run
+// and reference::dispatch_run (reference/scheduling.hpp), built in the same
+// tree under identical flags. The equivalence suite
+// (tests/test_scheduler_equivalence.cpp) pins the two to bit-identical
+// schedules; this harness re-asserts identity on its own scenarios, asserts
+// the warm engine loops perform zero scheduler-state allocations
+// (SchedulerWorkspace::grow_events), then reports speedups and writes
+// BENCH_scheduling.json.
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsslice/dsslice.hpp"
+#include "reference/scheduling.hpp"
 
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace dsslice;
-
-// ---------------------------------------------------------------------------
-// Legacy implementations (pre-engine), kept verbatim for the "before" side.
-// ---------------------------------------------------------------------------
-namespace legacy {
-
-SchedulerResult list_run(const Application& app,
-                         const DeadlineAssignment& assignment,
-                         const Platform& platform,
-                         const SchedulerOptions& options_,
-                         const ResourceModel* resources = nullptr) {
-  DSSLICE_REQUIRE(resources == nullptr ||
-                      options_.placement == PlacementPolicy::kAppend,
-                  "resource constraints require append placement");
-  DSSLICE_REQUIRE(resources == nullptr ||
-                      resources->task_count() == app.task_count(),
-                  "resource model size mismatch");
-  const TaskGraph& g = app.graph();
-  const std::size_t n = g.node_count();
-  const std::size_t m = platform.processor_count();
-  DSSLICE_REQUIRE(assignment.windows.size() == n,
-                  "assignment size mismatch");
-
-  SchedulerResult result{Schedule(n, m), false, std::nullopt, "", {}};
-  Schedule& schedule = result.schedule;
-
-  std::vector<ProcessorTimeline> timelines(
-      options_.placement == PlacementPolicy::kInsertion ? m : 0);
-
-  std::vector<Time> resource_available(
-      resources != nullptr ? resources->resource_count() : 0, kTimeZero);
-
-  const SharedBus* bus_model = nullptr;
-  ProcessorTimeline bus;
-  if (options_.simulate_bus_contention) {
-    bus_model = dynamic_cast<const SharedBus*>(&platform.network());
-    DSSLICE_REQUIRE(bus_model != nullptr,
-                    "bus-contention simulation requires a SharedBus network");
-  }
-
-  std::vector<std::size_t> unscheduled_preds(n);
-  std::vector<NodeId> ready;
-  for (NodeId v = 0; v < n; ++v) {
-    unscheduled_preds[v] = g.in_degree(v);
-    if (unscheduled_preds[v] == 0) {
-      ready.push_back(v);
-    }
-  }
-
-  const auto fail = [&](NodeId v, std::string reason) {
-    result.success = false;
-    result.failed_task = v;
-    result.failure_reason = std::move(reason);
-    return result;
-  };
-
-  bool missed = false;
-  while (!ready.empty()) {
-    std::size_t pick = 0;
-    for (std::size_t k = 1; k < ready.size(); ++k) {
-      const Window& a = assignment.windows[ready[k]];
-      const Window& b = assignment.windows[ready[pick]];
-      if (a.deadline < b.deadline ||
-          (a.deadline == b.deadline &&
-           (a.arrival < b.arrival ||
-            (a.arrival == b.arrival && ready[k] < ready[pick])))) {
-        pick = k;
-      }
-    }
-    const NodeId v = ready[pick];
-    ready[pick] = ready.back();
-    ready.pop_back();
-
-    const Task& task = app.task(v);
-    const Window& window = assignment.windows[v];
-
-    ProcessorId best_proc = 0;
-    Time best_start = kTimeInfinity;
-    Time best_finish = kTimeInfinity;
-    std::vector<BusTransfer> best_transfers;
-    bool found = false;
-    for (ProcessorId p = 0; p < m; ++p) {
-      const ProcessorClassId e = platform.class_of(p);
-      if (!task.eligible(e)) {
-        continue;
-      }
-      const double c = task.wcet(e);
-      Time bound = window.arrival;
-      if (resources != nullptr) {
-        for (const ResourceId r : resources->resources_of(v)) {
-          bound = std::max(bound, resource_available[r]);
-        }
-      }
-      std::vector<BusTransfer> transfers;
-      if (bus_model != nullptr) {
-        ProcessorTimeline trial = bus;
-        for (const NodeId u : g.predecessors(v)) {
-          const ScheduledTask& pe = schedule.entry(u);
-          const double items = g.message_items(u, v).value_or(0.0);
-          if (pe.processor == p || items <= 0.0) {
-            bound = std::max(bound, pe.finish);
-            continue;
-          }
-          const Time duration = items * bus_model->per_item_delay();
-          const Time slot = trial.earliest_fit(pe.finish, duration);
-          trial.occupy(slot, duration);
-          transfers.push_back(BusTransfer{u, v, slot, slot + duration});
-          bound = std::max(bound, slot + duration);
-        }
-      } else {
-        for (const NodeId u : g.predecessors(v)) {
-          const ScheduledTask& pe = schedule.entry(u);
-          const double items = g.message_items(u, v).value_or(0.0);
-          bound = std::max(bound,
-                           pe.finish + platform.comm_delay(pe.processor, p,
-                                                           items));
-        }
-      }
-      Time start;
-      if (options_.placement == PlacementPolicy::kInsertion) {
-        start = timelines[p].earliest_fit(bound, c);
-      } else {
-        start = std::max(bound, schedule.processor_available(p));
-      }
-      const Time finish = start + c;
-      if (!found || start < best_start ||
-          (start == best_start &&
-           (finish < best_finish ||
-            (finish == best_finish && p < best_proc)))) {
-        found = true;
-        best_proc = p;
-        best_start = start;
-        best_finish = finish;
-        best_transfers = std::move(transfers);
-      }
-    }
-
-    if (!found) {
-      return fail(v, "task " + task.name +
-                         " has no eligible processor on this platform");
-    }
-
-    if (best_finish > window.deadline) {
-      missed = true;
-      if (options_.abort_on_miss) {
-        return fail(v, "task " + task.name + " misses its deadline (finish " +
-                           std::to_string(best_finish) + " > D " +
-                           std::to_string(window.deadline) + ")");
-      }
-      if (!result.failed_task.has_value()) {
-        result.failed_task = v;
-        result.failure_reason = "task " + task.name + " missed its deadline";
-      }
-    }
-
-    schedule.place(v, best_proc, best_start, best_finish);
-    if (resources != nullptr) {
-      for (const ResourceId r : resources->resources_of(v)) {
-        resource_available[r] = best_finish;
-      }
-    }
-    if (options_.placement == PlacementPolicy::kInsertion) {
-      timelines[best_proc].occupy(best_start, best_finish - best_start);
-    }
-    for (const BusTransfer& t : best_transfers) {
-      bus.occupy(t.start, t.finish - t.start);
-      result.bus_transfers.push_back(t);
-    }
-    for (const NodeId s : g.successors(v)) {
-      if (--unscheduled_preds[s] == 0) {
-        ready.push_back(s);
-      }
-    }
-  }
-
-  if (!schedule.complete()) {
-    return fail(0, "schedule incomplete: task graph has a cycle");
-  }
-  result.success = !missed;
-  return result;
-}
-
-constexpr double kEps = 1e-9;
-
-std::uint64_t arc_key(NodeId u, NodeId v) {
-  return (static_cast<std::uint64_t>(u) << 32) | v;
-}
-
-SchedulerResult dispatch_run(const Application& app,
-                             const DeadlineAssignment& assignment,
-                             const Platform& platform,
-                             const DispatchOptions& options_,
-                             const DispatchConditions* conditions = nullptr,
-                             DispatchControl* control = nullptr,
-                             DispatchTelemetry* telemetry = nullptr) {
-  const TaskGraph& g = app.graph();
-  const std::size_t n = g.node_count();
-  const std::size_t m = platform.processor_count();
-  DSSLICE_REQUIRE(assignment.windows.size() == n, "assignment size mismatch");
-  if (conditions != nullptr) {
-    DSSLICE_REQUIRE(conditions->wcet_factor.empty() ||
-                        conditions->wcet_factor.size() == n,
-                    "wcet_factor size mismatch");
-    DSSLICE_REQUIRE(conditions->wcet_addend.empty() ||
-                        conditions->wcet_addend.size() == n,
-                    "wcet_addend size mismatch");
-    DSSLICE_REQUIRE(conditions->arc_delay_factor.empty() ||
-                        conditions->arc_delay_factor.size() == g.arc_count(),
-                    "arc_delay_factor size mismatch");
-    DSSLICE_REQUIRE(conditions->processor_down_at.empty() ||
-                        conditions->processor_down_at.size() == m,
-                    "processor_down_at size mismatch");
-  }
-
-  SchedulerResult result{Schedule(n, m), false, std::nullopt, "", {}};
-
-  std::vector<Window> windows = assignment.windows;
-  std::vector<std::size_t> preds_left(n, 0);
-  std::vector<char> started(n, 0), done(n, 0), lost(n, 0);
-  std::vector<Time> start_time(n, kTimeZero);
-  std::vector<Time> finish(n, kTimeInfinity);
-  std::vector<ProcessorId> proc_of(n, 0);
-  std::vector<ProcessorId> pinned(n, kUnpinnedProcessor);
-  std::vector<Time> busy_until(m, kTimeZero);
-  std::size_t remaining = n;
-  for (NodeId v = 0; v < n; ++v) {
-    preds_left[v] = g.in_degree(v);
-  }
-
-  std::vector<Time> known_from(m, kTimeZero), known_until(m, kTimeInfinity);
-  std::vector<Time> surprise_down(m, kTimeInfinity);
-  std::vector<char> failure_handled(m, 0);
-  for (ProcessorId p = 0; p < m; ++p) {
-    known_from[p] = platform.processor(p).available_from;
-    known_until[p] = platform.processor(p).available_until;
-    if (conditions != nullptr && !conditions->processor_down_at.empty()) {
-      surprise_down[p] = conditions->processor_down_at[p];
-    }
-  }
-  std::vector<Time> down_at(m, kTimeInfinity);
-  for (ProcessorId p = 0; p < m; ++p) {
-    down_at[p] = std::min(known_until[p], surprise_down[p]);
-  }
-  bool any_failure = false;
-
-  const auto actual_wcet = [&](NodeId v, ProcessorClassId e) {
-    double c = app.task(v).wcet(e);
-    if (conditions != nullptr) {
-      if (!conditions->wcet_factor.empty()) {
-        c *= conditions->wcet_factor[v];
-      }
-      if (!conditions->wcet_addend.empty()) {
-        c += conditions->wcet_addend[v];
-      }
-      c = std::max(0.0, c);
-    }
-    return c;
-  };
-
-  std::unordered_map<std::uint64_t, double> arc_factor;
-  if (conditions != nullptr && !conditions->arc_delay_factor.empty()) {
-    const auto& arcs = g.arcs();
-    arc_factor.reserve(arcs.size());
-    for (std::size_t k = 0; k < arcs.size(); ++k) {
-      arc_factor.emplace(arc_key(arcs[k].from, arcs[k].to),
-                         conditions->arc_delay_factor[k]);
-    }
-  }
-  const auto comm_delay = [&](NodeId u, NodeId v, ProcessorId src,
-                              ProcessorId dst, double items) {
-    Time d = platform.comm_delay(src, dst, items);
-    if (!arc_factor.empty()) {
-      const auto it = arc_factor.find(arc_key(u, v));
-      if (it != arc_factor.end()) {
-        d *= it->second;
-      }
-    }
-    return d;
-  };
-
-  if (telemetry != nullptr) {
-    *telemetry = DispatchTelemetry{};
-    telemetry->completion.assign(n, kTimeInfinity);
-  }
-
-  const auto fail = [&](NodeId v, std::string reason) {
-    result.success = false;
-    result.failed_task = v;
-    result.failure_reason = std::move(reason);
-    return result;
-  };
-
-  const auto make_view = [&](Time now) {
-    return DispatchControl::View{app,      platform, now,        started,
-                                 done,     finish,   busy_until, down_at};
-  };
-
-  const auto data_ready = [&](NodeId v, ProcessorId p) {
-    Time ready = kTimeZero;
-    for (const NodeId u : g.predecessors(v)) {
-      const double items = g.message_items(u, v).value_or(0.0);
-      ready = std::max(ready,
-                       finish[u] + comm_delay(u, v, proc_of[u], p, items));
-    }
-    return ready;
-  };
-
-  bool missed = false;
-  Time now = kTimeZero;
-  std::size_t guard = 0;
-  const std::size_t guard_limit = (n + 3 * m + 4) * (n * (m + 1) + m + 4) + 64;
-  while (remaining > 0) {
-    DSSLICE_CHECK(++guard <= guard_limit, "dispatch failed to converge");
-
-    for (ProcessorId p = 0; p < m; ++p) {
-      if (failure_handled[p] || surprise_down[p] > now + kEps) {
-        continue;
-      }
-      failure_handled[p] = 1;
-      any_failure = true;
-      std::vector<NodeId> victims;
-      for (NodeId v = 0; v < n; ++v) {
-        if (started[v] && !done[v] && proc_of[v] == p &&
-            finish[v] > surprise_down[p] + kEps) {
-          victims.push_back(v);
-          started[v] = 0;
-          finish[v] = kTimeInfinity;
-          lost[v] = 1;
-          if (telemetry != nullptr) {
-            telemetry->killed.push_back(v);
-          }
-        }
-      }
-      busy_until[p] = std::min(busy_until[p], surprise_down[p]);
-      std::vector<NodeId> revived;
-      if (control != nullptr) {
-        const auto view = make_view(now);
-        revived = control->on_processor_failure(view, p, victims, windows,
-                                                pinned);
-      }
-      for (const NodeId r : revived) {
-        DSSLICE_CHECK(std::find(victims.begin(), victims.end(), r) !=
-                          victims.end(),
-                      "control revived a task that was not a victim");
-        lost[r] = 0;
-        if (telemetry != nullptr) {
-          ++telemetry->restarts;
-        }
-      }
-    }
-
-    for (NodeId v = 0; v < n; ++v) {
-      if (started[v] && !done[v] && finish[v] <= now + kEps) {
-        done[v] = 1;
-        --remaining;
-        result.schedule.place(v, proc_of[v], start_time[v], finish[v]);
-        if (telemetry != nullptr) {
-          telemetry->completion[v] = finish[v];
-        }
-        const bool late = finish[v] > windows[v].deadline + kEps;
-        if (late) {
-          missed = true;
-          if (telemetry != nullptr) {
-            telemetry->misses.push_back(
-                TaskMissEvent{v, finish[v], windows[v].deadline});
-          }
-          if (options_.abort_on_miss) {
-            return fail(v, "task " + app.task(v).name +
-                               " misses its deadline at dispatch time");
-          }
-          if (!result.failed_task.has_value()) {
-            result.failed_task = v;
-            result.failure_reason =
-                "task " + app.task(v).name + " missed its deadline";
-          }
-        }
-        for (const NodeId s : g.successors(v)) {
-          --preds_left[s];
-        }
-        if (control != nullptr) {
-          const auto view = make_view(now);
-          control->on_completion(view, v, late, windows);
-        }
-      }
-    }
-    if (remaining == 0) {
-      break;
-    }
-
-    for (;;) {
-      NodeId best = static_cast<NodeId>(n);
-      ProcessorId best_proc = 0;
-      double best_wcet = 0.0;
-      Time best_deadline = kTimeInfinity;
-      for (NodeId v = 0; v < n; ++v) {
-        if (started[v] || done[v] || lost[v] || preds_left[v] != 0 ||
-            windows[v].arrival > now + kEps) {
-          continue;
-        }
-        const Time deadline = windows[v].deadline;
-        if (best < n && deadline > best_deadline + kEps) {
-          continue;
-        }
-        ProcessorId chosen = 0;
-        double chosen_wcet = 0.0;
-        bool found = false;
-        for (ProcessorId p = 0; p < m; ++p) {
-          if (busy_until[p] > now + kEps) {
-            continue;
-          }
-          if (pinned[v] != kUnpinnedProcessor && pinned[v] != p) {
-            continue;
-          }
-          if (now + kEps < known_from[p] || now + kEps >= surprise_down[p]) {
-            continue;
-          }
-          const Task& task = app.task(v);
-          if (!task.eligible(platform.class_of(p))) {
-            continue;
-          }
-          const double c = actual_wcet(v, platform.class_of(p));
-          if (now + c > known_until[p] + kEps) {
-            continue;
-          }
-          if (data_ready(v, p) > now + kEps) {
-            continue;
-          }
-          if (!found || c < chosen_wcet) {
-            found = true;
-            chosen = p;
-            chosen_wcet = c;
-          }
-        }
-        if (!found) {
-          continue;
-        }
-        const bool wins =
-            best == n || deadline < best_deadline - kEps ||
-            (std::abs(deadline - best_deadline) <= kEps && v < best);
-        if (wins) {
-          best = v;
-          best_proc = chosen;
-          best_wcet = chosen_wcet;
-          best_deadline = deadline;
-        }
-      }
-      if (best >= n) {
-        break;
-      }
-      started[best] = 1;
-      proc_of[best] = best_proc;
-      start_time[best] = now;
-      finish[best] = now + best_wcet;
-      busy_until[best_proc] = finish[best];
-    }
-
-    Time next = kTimeInfinity;
-    for (ProcessorId p = 0; p < m; ++p) {
-      if (busy_until[p] > now + kEps) {
-        next = std::min(next, busy_until[p]);
-      }
-      if (!failure_handled[p] && surprise_down[p] < kTimeInfinity &&
-          surprise_down[p] > now + kEps) {
-        next = std::min(next, surprise_down[p]);
-      }
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (started[v] || done[v] || lost[v] || preds_left[v] != 0) {
-        continue;
-      }
-      const Time arrival = windows[v].arrival;
-      if (arrival > now + kEps) {
-        next = std::min(next, arrival);
-        continue;
-      }
-      const Task& task = app.task(v);
-      bool any_eligible = false;
-      for (ProcessorId p = 0; p < m; ++p) {
-        if (!task.eligible(platform.class_of(p))) {
-          continue;
-        }
-        any_eligible = true;
-        if (now + kEps >= surprise_down[p]) {
-          continue;
-        }
-        if (pinned[v] != kUnpinnedProcessor && pinned[v] != p) {
-          continue;
-        }
-        if (now + kEps < known_from[p]) {
-          next = std::min(next, known_from[p]);
-          continue;
-        }
-        const Time ready = data_ready(v, p);
-        if (ready > now + kEps) {
-          next = std::min(next, ready);
-        }
-      }
-      if (!any_eligible) {
-        return fail(v, "task " + task.name +
-                           " has no eligible processor on this platform");
-      }
-    }
-    if (next >= kTimeInfinity) {
-      if (any_failure) {
-        break;
-      }
-      return fail(0, "dispatch deadlocked: task graph has a cycle");
-    }
-    now = next;
-  }
-
-  if (remaining > 0) {
-    std::size_t stranded = 0;
-    NodeId first = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!done[v]) {
-        if (stranded++ == 0) {
-          first = v;
-        }
-        if (telemetry != nullptr) {
-          telemetry->unfinished.push_back(v);
-        }
-      }
-    }
-    return fail(first, "processor failure left " + std::to_string(stranded) +
-                           " task(s) unfinished (first: " +
-                           app.task(first).name + ")");
-  }
-
-  result.success = !missed && result.schedule.complete();
-  return result;
-}
-
-}  // namespace legacy
+using bench::json_number;
 
 // ---------------------------------------------------------------------------
 // Measurement scaffolding.
 // ---------------------------------------------------------------------------
-
-using Clock = std::chrono::steady_clock;
-
-/// Times two bodies in alternating batches until each has accumulated at
-/// least `min_seconds` of wall time (and `min_reps` repetitions), returning
-/// {seconds_per_call_a, seconds_per_call_b}. Interleaving matters on shared
-/// hardware: the container's available CPU drifts over seconds, and two
-/// back-to-back timing windows would put the drift entirely on one side of
-/// the ratio. Alternating batches spread it evenly over both.
-template <typename A, typename B>
-std::pair<double, double> time_per_call_pair(double min_seconds,
-                                             std::size_t min_reps, A&& body_a,
-                                             B&& body_b) {
-  std::size_t reps_a = 0, reps_b = 0;
-  double elapsed_a = 0.0, elapsed_b = 0.0;
-  std::size_t batch = 1;
-  while (elapsed_a < min_seconds || elapsed_b < min_seconds ||
-         reps_a < min_reps || reps_b < min_reps) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      body_a();
-    }
-    const auto t1 = Clock::now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      body_b();
-    }
-    const auto t2 = Clock::now();
-    elapsed_a += std::chrono::duration<double>(t1 - t0).count();
-    elapsed_b += std::chrono::duration<double>(t2 - t1).count();
-    reps_a += batch;
-    reps_b += batch;
-    batch = std::min<std::size_t>(batch * 2, 4096);
-  }
-  return {elapsed_a / static_cast<double>(reps_a),
-          elapsed_b / static_cast<double>(reps_b)};
-}
 
 /// Scenarios per size row. Each row times all of them back to back and
 /// reports scenarios/sec, so the number is a multi-seed average rather than
@@ -619,24 +47,6 @@ std::pair<double, double> time_per_call_pair(double min_seconds,
 /// under-state a row by >2x depending on how the generated DAG happens to
 /// shape the ready sets (the PR 4 bench residual).
 constexpr std::size_t kRowSeeds = 5;
-
-GeneratorConfig sized_config(std::size_t tasks, std::size_t processors) {
-  GeneratorConfig cfg;
-  cfg.platform.processor_count = processors;
-  cfg.workload.min_tasks = tasks;
-  cfg.workload.max_tasks = tasks;
-  // Depth scales as sqrt(n) so BOTH depth and level width grow with n.
-  // The old tasks/5 rule made depth grow linearly, so width stayed at ~5
-  // tasks for every size: a 1024-task "graph" was a 204-level chain with
-  // less ready-set pressure than the 512-task one, and measured time per
-  // scheduled task *fell* as n grew (docs/PERFORMANCE.md).
-  const auto depth = static_cast<std::size_t>(
-      std::lround(std::sqrt(static_cast<double>(tasks))));
-  cfg.workload.min_depth = std::max<std::size_t>(2, depth);
-  cfg.workload.max_depth = std::max<std::size_t>(2, depth);
-  cfg.base_seed = 0xBE7C;
-  return cfg;
-}
 
 /// Bitwise schedule equality: exact placements, start/finish instants, bus
 /// reservations, and outcome flags (no epsilon — the engine must match the
@@ -703,12 +113,6 @@ struct EndToEndRow {
   }
 };
 
-std::string json_number(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.6g", v);
-  return buffer;
-}
-
 std::string to_json(const std::vector<SizeReport>& reports,
                     const std::vector<EndToEndRow>& e2e,
                     std::size_t processors) {
@@ -759,7 +163,7 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
   SizeReport report;
   report.tasks = tasks;
 
-  const GeneratorConfig cfg = sized_config(tasks, processors);
+  const GeneratorConfig cfg = bench::sized_config(tasks, processors);
   std::vector<Scenario> scenarios;
   std::vector<DeadlineAssignment> assignments;
   scenarios.reserve(kRowSeeds);
@@ -793,7 +197,7 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
           row.identical = row.identical && same_result(before, engine_result);
         }
         const std::uint64_t grow_before = ws.grow_events();
-        const auto [legacy_s, engine_s] = time_per_call_pair(
+        const auto [legacy_s, engine_s] = bench::time_per_call_pair(
             min_seconds, 3,
             [&] {
               for (std::size_t k = 0; k < kRowSeeds; ++k) {
@@ -814,29 +218,18 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
         report.engines.push_back(row);
       };
 
-  {
-    SchedulerOptions options;  // append placement
-    const EdfListScheduler scheduler(options);
-    measure(
-        "list-append",
-        [&](std::size_t k) {
-          return legacy::list_run(scenarios[k].application, assignments[k],
-                                  scenarios[k].platform, options);
-        },
-        [&](std::size_t k) {
-          scheduler.run_into(engine_result, ws, scenarios[k].application,
-                             assignments[k], scenarios[k].platform);
-        });
-  }
-  {
+  for (const PlacementPolicy placement :
+       {PlacementPolicy::kAppend, PlacementPolicy::kInsertion}) {
     SchedulerOptions options;
-    options.placement = PlacementPolicy::kInsertion;
+    options.placement = placement;
     const EdfListScheduler scheduler(options);
     measure(
-        "list-insertion",
+        placement == PlacementPolicy::kAppend ? "list-append"
+                                              : "list-insertion",
         [&](std::size_t k) {
-          return legacy::list_run(scenarios[k].application, assignments[k],
-                                  scenarios[k].platform, options);
+          return reference::list_run(scenarios[k].application,
+                                     assignments[k], scenarios[k].platform,
+                                     options);
         },
         [&](std::size_t k) {
           scheduler.run_into(engine_result, ws, scenarios[k].application,
@@ -850,8 +243,9 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
     measure(
         "dispatch",
         [&](std::size_t k) {
-          return legacy::dispatch_run(scenarios[k].application, assignments[k],
-                                      scenarios[k].platform, options);
+          return reference::dispatch_run(scenarios[k].application,
+                                         assignments[k], scenarios[k].platform,
+                                         options);
         },
         [&](std::size_t k) {
           scheduler.run_into(engine_result, ws, scenarios[k].application,
@@ -876,12 +270,12 @@ bool legacy_evaluate(const ExperimentConfig& config, std::uint64_t seed,
   if (config.algorithm == SchedulerAlgorithm::kDispatchEdf) {
     DispatchOptions options;
     options.abort_on_miss = config.scheduler.abort_on_miss;
-    return legacy::dispatch_run(scenario.application, assignment,
-                                scenario.platform, options)
+    return reference::dispatch_run(scenario.application, assignment,
+                                   scenario.platform, options)
         .success;
   }
-  return legacy::list_run(scenario.application, assignment, scenario.platform,
-                          config.scheduler)
+  return reference::list_run(scenario.application, assignment,
+                             scenario.platform, config.scheduler)
       .success;
 }
 
@@ -893,13 +287,13 @@ EndToEndRow measure_end_to_end(SchedulerAlgorithm algorithm,
   row.tasks = tasks;
 
   ExperimentConfig config;
-  config.generator = sized_config(tasks, processors);
+  config.generator = bench::sized_config(tasks, processors);
   config.algorithm = algorithm;
   config.scheduler.abort_on_miss = false;
 
   constexpr std::size_t kSeeds = 4;
   ScenarioScratch scratch;
-  const auto [legacy_s, engine_s] = time_per_call_pair(
+  const auto [legacy_s, engine_s] = bench::time_per_call_pair(
       min_seconds, 3,
       [&] {
         for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {

@@ -19,8 +19,6 @@
 // scripts/bench_compare.py. The canary floor is enforced here on
 // uninstrumented builds and by bench_compare.py on fresh release runs.
 #include <bit>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -34,7 +32,8 @@
 namespace {
 
 using namespace dsslice;
-using Clock = std::chrono::steady_clock;
+using bench::json_number;
+using bench::time_per_call;
 
 // Sanitizer instrumentation inflates the two engines by different factors
 // (the lanes engine's bitset walks shadow-check every word), so the absolute
@@ -54,39 +53,6 @@ constexpr bool kInstrumented = false;
 constexpr std::size_t kBatch = 32;          // scenarios per kernel pass
 constexpr double kSpeedupFloor = 2.2;       // ADAPT-L lanes-vs-reference
 constexpr std::size_t kFloorTasks = 128;    // floor applies at n >= this
-
-/// Same shape rule as perf_slicing: depth ~ sqrt(n) so both depth and level
-/// width grow with n, and the same seed so the two harnesses measure the
-/// same scenario population.
-GeneratorConfig sized_config(std::size_t tasks, std::size_t processors) {
-  GeneratorConfig cfg;
-  cfg.platform.processor_count = processors;
-  cfg.workload.min_tasks = tasks;
-  cfg.workload.max_tasks = tasks;
-  const auto depth = static_cast<std::size_t>(
-      std::lround(std::sqrt(static_cast<double>(tasks))));
-  cfg.workload.min_depth = std::max<std::size_t>(2, depth);
-  cfg.workload.max_depth = std::max<std::size_t>(2, depth);
-  cfg.base_seed = 0xBE7C;
-  return cfg;
-}
-
-template <typename F>
-double time_per_call(double min_seconds, std::size_t min_reps, F&& body) {
-  std::size_t reps = 0;
-  double elapsed = 0.0;
-  std::size_t batch = 1;
-  while (elapsed < min_seconds || reps < min_reps) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      body();
-    }
-    elapsed += std::chrono::duration<double>(Clock::now() - t0).count();
-    reps += batch;
-    batch = std::min<std::size_t>(batch * 2, 1024);
-  }
-  return elapsed / static_cast<double>(reps);
-}
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -138,12 +104,6 @@ struct SizeReport {
   std::uint64_t steady_grow_events = ~std::uint64_t{0};
 };
 
-std::string fmt_num(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.6g", v);
-  return buffer;
-}
-
 std::string to_json(const std::vector<SizeReport>& reports,
                     std::size_t processors, bool all_identical) {
   std::string out = "{\n";
@@ -153,7 +113,7 @@ std::string to_json(const std::vector<SizeReport>& reports,
   out += "  \"machine\": " + bench::machine_json(1) + ",\n";
   out += std::string("  \"gates\": {\"identical\": ") +
          (all_identical ? "true" : "false") +
-         ", \"lanes_speedup_floor\": " + fmt_num(kSpeedupFloor) +
+         ", \"lanes_speedup_floor\": " + json_number(kSpeedupFloor) +
          ", \"floor_tasks\": " + std::to_string(kFloorTasks) + "},\n";
   out += "  \"sizes\": [\n";
   for (std::size_t r = 0; r < reports.size(); ++r) {
@@ -166,9 +126,9 @@ std::string to_json(const std::vector<SizeReport>& reports,
     for (std::size_t k = 0; k < s.metrics.size(); ++k) {
       const MetricRow& m = s.metrics[k];
       out += "        {\"metric\": \"" + m.name + "\", \"reference_per_sec\": " +
-             fmt_num(m.reference_per_sec) + ", \"lanes_per_sec\": " +
-             fmt_num(m.lanes_per_sec) + ", \"speedup\": " +
-             fmt_num(m.speedup()) + std::string(", \"identical\": ") +
+             json_number(m.reference_per_sec) + ", \"lanes_per_sec\": " +
+             json_number(m.lanes_per_sec) + ", \"speedup\": " +
+             json_number(m.speedup()) + std::string(", \"identical\": ") +
              (m.identical ? "true" : "false") + "}";
       out += (k + 1 < s.metrics.size()) ? ",\n" : "\n";
     }
@@ -185,7 +145,7 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
   SizeReport report;
   report.tasks = tasks;
 
-  const GeneratorConfig cfg = sized_config(tasks, processors);
+  const GeneratorConfig cfg = bench::sized_config(tasks, processors);
   std::vector<Scenario> scenarios;
   scenarios.reserve(kBatch);
   for (std::size_t s = 0; s < kBatch; ++s) {

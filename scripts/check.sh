@@ -19,19 +19,26 @@ done
 
 # Smoke pass of the perf harnesses (tiny sizes): catches regressions in the
 # benches themselves and asserts the cached hot paths build zero analyses /
-# grow zero scheduler buffers. perf_scheduling also re-checks bit-identity
-# against the legacy schedulers, so it runs under both presets — the
-# sanitize build would catch any UB the equivalence relies on. Each run is
-# two passes, mirroring scripts/bench.sh: a timed pass with recording off
-# whose JSON is diffed against the committed BENCH_scheduling.json speedups
-# (scripts/bench_compare.py — perf regressions fail loudly), and a short
-# instrumented pass whose trace/metrics are validated by tools/trace_check
-# and must carry the dispatcher event-queue counters.
-echo "==> bench smoke [perf_slicing]"
-mkdir -p ./build/slicing-smoke
-./build/bench/perf_slicing --smoke --json ./build/slicing-smoke/slicing.json
-python3 scripts/bench_compare.py ./build/slicing-smoke/slicing.json \
-  --baseline BENCH_slicing.json --tolerance 0.6
+# grow zero scheduler buffers. perf_slicing and perf_scheduling also
+# re-check bit-identity against the reference slicer and schedulers
+# (reference/), so they run under both presets — the sanitize build would
+# catch any UB the equivalence relies on — and each exits 1 on a mismatch.
+# The JSON of every run is diffed against the committed BENCH_*.json
+# speedups (scripts/bench_compare.py — perf regressions fail loudly); the
+# sanitize passes compare --correctness-only, since ASan/UBSan inflates the
+# two sides of each ratio by different factors.
+slicing_smoke() {
+  local build="$1"; shift
+  local out="$build/slicing-smoke"
+  mkdir -p "$out"
+  "$build/bench/perf_slicing" --smoke --json "$out/slicing.json"
+  python3 scripts/bench_compare.py "$out/slicing.json" \
+    --baseline BENCH_slicing.json --tolerance 0.6 "$@"
+}
+echo "==> bench smoke [perf_slicing, default]"
+slicing_smoke ./build
+echo "==> bench smoke [perf_slicing, sanitize]"
+slicing_smoke ./build-sanitize --correctness-only
 
 # Batch slicing kernel smoke: the lanes64-vs-reference A/B under both
 # presets. The bit-identity and zero-allocation gates must hold under
@@ -61,6 +68,11 @@ echo "==> bench smoke [perf_slicing_batch, default]"
 batch_smoke ./build
 echo "==> bench smoke [perf_slicing_batch, sanitize]"
 batch_smoke ./build-sanitize --correctness-only
+# perf_scheduling runs two passes, mirroring scripts/bench.sh: a timed pass
+# with recording off whose JSON is diffed against the committed
+# BENCH_scheduling.json, and a short instrumented pass whose trace/metrics
+# are validated by tools/trace_check and must carry the dispatcher
+# event-queue counters.
 scheduling_smoke() {
   local build="$1"; shift
   local tag="${build##*/}"

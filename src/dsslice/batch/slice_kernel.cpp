@@ -56,24 +56,12 @@ inline bool bits_differ(double a, double b) {
 
 std::string to_string(BatchLaneMode mode) {
   switch (mode) {
-    case BatchLaneMode::kAuto:
-      return "auto";
     case BatchLaneMode::kReference:
       return "reference";
     case BatchLaneMode::kLanes64:
       return "lanes64";
   }
   return "?";
-}
-
-BatchLaneMode resolve_lane_mode(BatchLaneMode requested) {
-  // The lane engine is portable uint64 code (no ISA-specific intrinsics), so
-  // auto always resolves to it; the hook exists so a future engine with real
-  // ISA requirements can fall back at runtime.
-  if (requested == BatchLaneMode::kAuto) {
-    return BatchLaneMode::kLanes64;
-  }
-  return requested;
 }
 
 void BatchSliceKernel::run(std::span<const Scenario> scenarios,
@@ -126,8 +114,7 @@ void BatchSliceKernel::run(std::span<const Scenario> scenarios,
   }
 
   const DeadlineMetric metric(config.metric, config.params);
-  const BatchLaneMode mode = resolve_lane_mode(config.lane_mode);
-  if (mode == BatchLaneMode::kReference) {
+  if (config.lane_mode == BatchLaneMode::kReference) {
     run_reference(metric);
   } else {
     // Stage 3: metric weights for the whole batch in one SoA pass.

@@ -69,16 +69,12 @@ namespace dsslice {
 /// runtime so equivalence tests and A/B benchmarks exercise both through
 /// one entry point.
 enum class BatchLaneMode {
-  kAuto,       ///< runtime selection (resolves to kLanes64 everywhere —
-               ///< the lane engine is portable uint64 code)
   kReference,  ///< scalar run_slicing per scenario (validation baseline)
   kLanes64,    ///< SoA peel engine with 64-bit-lane bitset iteration
+               ///< (portable uint64 code, no ISA-specific intrinsics)
 };
 
 std::string to_string(BatchLaneMode mode);
-
-/// Resolves kAuto to a concrete engine for the running machine.
-BatchLaneMode resolve_lane_mode(BatchLaneMode requested);
 
 /// One slicing configuration applied to every scenario of a batch (the
 /// sweep evaluates one technique per run, so this is not per-scenario).
@@ -86,7 +82,7 @@ struct BatchSliceConfig {
   MetricKind metric = MetricKind::kAdaptL;
   MetricParams params;
   WcetEstimation wcet_strategy = WcetEstimation::kAverage;
-  BatchLaneMode lane_mode = BatchLaneMode::kAuto;
+  BatchLaneMode lane_mode = BatchLaneMode::kLanes64;
 };
 
 /// Reusable batch slicing kernel. One instance per worker thread; run()

@@ -35,7 +35,6 @@
 #include "dsslice/gen/scenario_batch.hpp"
 #include "dsslice/gen/taskgraph_generator.hpp"
 #include "dsslice/graph/algorithms.hpp"
-#include "dsslice/graph/closure.hpp"
 #include "dsslice/graph/dot.hpp"
 #include "dsslice/graph/task_graph.hpp"
 #include "dsslice/model/application.hpp"

@@ -1,9 +1,14 @@
+// Transitive closure G* and parallel sets Ψ_i (§4.5), as computed by
+// GraphAnalysis: reachability, precedence order, parallel sets and
+// ancestor/descendant counts on hand-built graphs, cross-checked against
+// BFS reachability on generated ones.
 #include <gtest/gtest.h>
 
-#include "dsslice/gen/rng.hpp"
+#include <vector>
+
+#include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/gen/taskgraph_generator.hpp"
 #include "dsslice/graph/algorithms.hpp"
-#include "dsslice/graph/closure.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
@@ -15,7 +20,7 @@ TEST(TransitiveClosure, DiamondReachability) {
   g.add_arc(0, 2);
   g.add_arc(1, 3);
   g.add_arc(2, 3);
-  const TransitiveClosure c(g);
+  const GraphAnalysis c(g);
   EXPECT_TRUE(c.reaches(0, 3));
   EXPECT_TRUE(c.reaches(0, 1));
   EXPECT_FALSE(c.reaches(1, 2));
@@ -32,7 +37,7 @@ TEST(TransitiveClosure, ParallelSetsOfDiamond) {
   g.add_arc(0, 2);
   g.add_arc(1, 3);
   g.add_arc(2, 3);
-  const TransitiveClosure c(g);
+  const GraphAnalysis c(g);
   EXPECT_EQ(c.parallel_set_size(0), 0u);
   EXPECT_EQ(c.parallel_set_size(3), 0u);
   EXPECT_EQ(c.parallel_set_size(1), 1u);
@@ -40,13 +45,14 @@ TEST(TransitiveClosure, ParallelSetsOfDiamond) {
   EXPECT_EQ(c.parallel_set(2), (std::vector<NodeId>{1}));
   EXPECT_EQ(c.descendant_count(0), 3u);
   EXPECT_EQ(c.ancestor_count(3), 3u);
-  EXPECT_EQ(c.all_parallel_set_sizes(),
+  const auto sizes = c.parallel_set_sizes();
+  EXPECT_EQ(std::vector<std::size_t>(sizes.begin(), sizes.end()),
             (std::vector<std::size_t>{0, 1, 1, 0}));
 }
 
 TEST(TransitiveClosure, IndependentTasksAreAllParallel) {
   const TaskGraph g(5);  // no arcs
-  const TransitiveClosure c(g);
+  const GraphAnalysis c(g);
   for (NodeId v = 0; v < 5; ++v) {
     EXPECT_EQ(c.parallel_set_size(v), 4u);
   }
@@ -57,7 +63,7 @@ TEST(TransitiveClosure, ChainHasEmptyParallelSets) {
   for (NodeId v = 0; v + 1 < 6; ++v) {
     g.add_arc(v, v + 1);
   }
-  const TransitiveClosure c(g);
+  const GraphAnalysis c(g);
   for (NodeId v = 0; v < 6; ++v) {
     EXPECT_EQ(c.parallel_set_size(v), 0u);
     EXPECT_EQ(c.descendant_count(v), 5u - v);
@@ -72,7 +78,7 @@ TEST(TransitiveClosure, MatchesBfsOnRandomGraphs) {
     const Scenario sc =
         generate_scenario_at(testing::small_generator(seed), 0);
     const TaskGraph& g = sc.application.graph();
-    const TransitiveClosure c(g);
+    const GraphAnalysis c(g);
     const std::size_t n = g.node_count();
     for (NodeId u = 0; u < n; ++u) {
       std::size_t total = c.ancestor_count(u) + c.descendant_count(u) +
@@ -93,7 +99,7 @@ TEST(TransitiveClosure, WorksBeyondOneBitsetWord) {
   for (NodeId v = 0; v + 1 < 70; ++v) {
     g.add_arc(v, v + 1);
   }
-  const TransitiveClosure c(g);
+  const GraphAnalysis c(g);
   EXPECT_TRUE(c.reaches(0, 69));
   EXPECT_EQ(c.descendant_count(0), 69u);
   EXPECT_EQ(c.parallel_set_size(35), 0u);

@@ -6,7 +6,6 @@
 #include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/gen/taskgraph_generator.hpp"
 #include "dsslice/graph/algorithms.hpp"
-#include "dsslice/graph/closure.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
@@ -97,12 +96,10 @@ TEST(GraphAnalysis, ForEachParallelMatchesMaterializedSet) {
     const Scenario sc =
         generate_scenario_at(testing::small_generator(seed), 0);
     const GraphAnalysis a(sc.application.graph());
-    const TransitiveClosure c(sc.application.graph());
     for (NodeId i = 0; i < a.node_count(); ++i) {
       std::vector<NodeId> walked;
       a.for_each_parallel(i, [&](NodeId j) { walked.push_back(j); });
       EXPECT_EQ(walked, a.parallel_set(i));
-      EXPECT_EQ(walked, c.parallel_set(i));
       EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
       EXPECT_EQ(walked.size(), a.parallel_set_size(i));
     }

@@ -6,7 +6,6 @@
 
 #include "dsslice/core/metrics.hpp"
 #include "dsslice/graph/algorithms.hpp"
-#include "dsslice/graph/closure.hpp"
 #include "dsslice/util/check.hpp"
 #include "test_util.hpp"
 

@@ -3,12 +3,14 @@
 // The cached hot path (Application::analysis + DeadlineMetric::weights_into +
 // the workspace-backed slicing loop) must be *bit-identical* to the original
 // per-call implementation: same weights, same critical paths, same windows.
-// The reference computations below deliberately re-derive everything from
-// scratch with algorithms::topological_order and TransitiveClosure, exactly
-// as the pre-cache code did.
+// The reference side is the pre-cache code in reference/slicing.hpp, which
+// re-derives everything from scratch per call (fresh closure, topological
+// order, materialized parallel sets, per-pass allocations) and is built in
+// the same tree with the same flags.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dsslice/analysis/graph_analysis.hpp"
@@ -16,106 +18,12 @@
 #include "dsslice/core/slicing.hpp"
 #include "dsslice/core/wcet_estimate.hpp"
 #include "dsslice/gen/taskgraph_generator.hpp"
-#include "dsslice/graph/algorithms.hpp"
-#include "dsslice/graph/closure.hpp"
 #include "dsslice/model/resources.hpp"
+#include "reference/slicing.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
 namespace {
-
-/// The legacy weights algorithm, verbatim: builds a fresh TransitiveClosure
-/// and topological order per call and materializes every parallel set.
-std::vector<double> legacy_weights(const DeadlineMetric& metric,
-                                   const Application& app,
-                                   std::span<const double> est_wcet,
-                                   std::size_t processor_count,
-                                   const ResourceModel* resources) {
-  const MetricParams& params = metric.params();
-  std::vector<double> w(est_wcet.begin(), est_wcet.end());
-  if (!metric.is_adaptive()) {
-    return w;
-  }
-  const double threshold = metric.effective_threshold(est_wcet);
-  const double m = static_cast<double>(processor_count);
-  const TaskGraph& g = app.graph();
-
-  if (metric.kind() == MetricKind::kAdaptG) {
-    const double xi = average_parallelism(g, est_wcet);
-    const double surplus = 1.0 + params.k_global * xi / m;
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      if (est_wcet[i] >= threshold) {
-        w[i] = est_wcet[i] * surplus;
-      }
-    }
-    return w;
-  }
-
-  const TransitiveClosure closure(g);
-  if (resources != nullptr) {
-    for (NodeId i = 0; i < w.size(); ++i) {
-      if (est_wcet[i] < threshold) {
-        continue;
-      }
-      const std::vector<NodeId> parallel = closure.parallel_set(i);
-      std::size_t resource_rivals = 0;
-      for (const NodeId j : parallel) {
-        if (resources->conflicts(i, j)) {
-          ++resource_rivals;
-        }
-      }
-      w[i] = est_wcet[i] *
-             (1.0 + params.k_local * static_cast<double>(parallel.size()) / m +
-              params.k_resource * static_cast<double>(resource_rivals));
-    }
-    return w;
-  }
-
-  std::vector<Time> est_start;
-  std::vector<Time> lft_finish;
-  if (params.temporal_parallel_sets) {
-    const auto topo = topological_order(g);
-    est_start.assign(w.size(), kTimeZero);
-    lft_finish.assign(w.size(), kTimeInfinity);
-    for (const NodeId v : *topo) {
-      Time start = g.is_input(v) ? app.input_arrival(v) : kTimeZero;
-      for (const NodeId u : g.predecessors(v)) {
-        start = std::max(start, est_start[u] + est_wcet[u]);
-      }
-      est_start[v] = start;
-    }
-    for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
-      const NodeId v = *it;
-      Time finish = g.is_output(v) && app.has_ete_deadline(v)
-                        ? app.ete_deadline(v)
-                        : kTimeInfinity;
-      for (const NodeId s : g.successors(v)) {
-        finish = std::min(finish, lft_finish[s] - est_wcet[s]);
-      }
-      lft_finish[v] = finish;
-    }
-  }
-
-  for (NodeId i = 0; i < w.size(); ++i) {
-    if (est_wcet[i] < threshold) {
-      continue;
-    }
-    double psi;
-    if (params.temporal_parallel_sets) {
-      std::size_t count = 0;
-      for (const NodeId j : closure.parallel_set(i)) {
-        if (est_start[j] < lft_finish[i] && est_start[i] < lft_finish[j]) {
-          ++count;
-        }
-      }
-      psi = static_cast<double>(count);
-    } else {
-      psi = static_cast<double>(closure.parallel_set_size(i));
-    }
-    w[i] = est_wcet[i] * (1.0 + params.k_local * psi / m);
-  }
-  return w;
-}
 
 std::vector<std::uint64_t> kSeeds() { return {11, 22, 33, 44, 55}; }
 
@@ -129,7 +37,7 @@ TEST(SlicingEquivalence, WeightsBitIdenticalForAllMetrics) {
     for (const MetricKind kind : all_metric_kinds()) {
       const DeadlineMetric metric(kind);
       const std::vector<double> expected =
-          legacy_weights(metric, app, est, m, nullptr);
+          reference::weights(metric, app, est, m, nullptr);
       const std::vector<double> actual = metric.weights(app, est, m);
       ASSERT_EQ(actual.size(), expected.size());
       for (std::size_t i = 0; i < actual.size(); ++i) {
@@ -150,7 +58,7 @@ TEST(SlicingEquivalence, TemporalParallelSetsBitIdentical) {
     const auto est = estimate_wcets(sc.application, WcetEstimation::kAverage);
     const std::size_t m = sc.platform.processor_count();
     const std::vector<double> expected =
-        legacy_weights(metric, sc.application, est, m, nullptr);
+        reference::weights(metric, sc.application, est, m, nullptr);
     const std::vector<double> actual = metric.weights(sc.application, est, m);
     EXPECT_EQ(actual, expected) << "seed " << seed;
   }
@@ -176,10 +84,56 @@ TEST(SlicingEquivalence, ResourceAwareAdaptLBitIdentical) {
       }
     }
     const std::vector<double> expected =
-        legacy_weights(metric, app, est, m, &resources);
+        reference::weights(metric, app, est, m, &resources);
     const std::vector<double> actual =
         metric.weights(app, est, m, &resources);
     EXPECT_EQ(actual, expected) << "seed " << seed;
+  }
+}
+
+TEST(SlicingEquivalence, WindowsBitIdenticalToReferenceSlicer) {
+  // The library SLICING loop (memoized analysis, CriticalPathSearch,
+  // workspace-backed passes) against the pre-cache reference loop: same
+  // windows and pass indices for every metric and WCET strategy, over
+  // seeds and graph sizes (multi-word closure rows included).
+  struct Shape {
+    std::size_t tasks;
+    std::size_t depth;
+  };
+  constexpr Shape kShapes[] = {{8, 3}, {40, 6}, {130, 11}};
+  constexpr WcetEstimation kStrategies[] = {
+      WcetEstimation::kAverage, WcetEstimation::kMax, WcetEstimation::kMin};
+  for (const Shape shape : kShapes) {
+    for (const std::uint64_t seed : kSeeds()) {
+      GeneratorConfig cfg = testing::small_generator(seed);
+      cfg.workload.min_tasks = shape.tasks;
+      cfg.workload.max_tasks = shape.tasks;
+      cfg.workload.min_depth = shape.depth;
+      cfg.workload.max_depth = shape.depth;
+      const Scenario sc = generate_scenario_at(cfg, 0);
+      const Application& app = sc.application;
+      const std::size_t m = sc.platform.processor_count();
+      for (const WcetEstimation strategy : kStrategies) {
+        const auto est = estimate_wcets(app, strategy);
+        for (const MetricKind kind : all_metric_kinds()) {
+          const DeadlineMetric metric(kind);
+          const DeadlineAssignment want =
+              reference::run_slicing(app, est, metric, m);
+          const DeadlineAssignment got = run_slicing(app, est, metric, m);
+          SCOPED_TRACE(to_string(kind) + " " + to_string(strategy) +
+                       " n=" + std::to_string(shape.tasks) +
+                       " seed=" + std::to_string(seed));
+          ASSERT_EQ(got.windows.size(), want.windows.size());
+          for (NodeId v = 0; v < want.windows.size(); ++v) {
+            EXPECT_EQ(got.windows[v].arrival, want.windows[v].arrival)
+                << "task " << v;
+            EXPECT_EQ(got.windows[v].deadline, want.windows[v].deadline)
+                << "task " << v;
+          }
+          EXPECT_EQ(got.pass_of, want.pass_of);
+        }
+      }
+    }
   }
 }
 
