@@ -17,6 +17,13 @@ for preset in default sanitize; do
   ctest --preset "$preset" -j "$jobs"
 done
 
+# Repository benchmark self-tests (perfbench/, its own Release build): every
+# workload's --smoke stream must reach the pinned reference digests, so this
+# is the end-to-end bit-identity gate for the run_sweep and run_experiment
+# paths. Run once; the sanitize preset does not apply to perfbench's build.
+echo "==> perfbench self-tests [Release]"
+python3 -m unittest discover -s perfbench/tests
+
 # Smoke pass of the perf harnesses (tiny sizes): catches regressions in the
 # benches themselves and asserts the cached hot paths build zero analyses /
 # grow zero scheduler buffers. perf_slicing and perf_scheduling also

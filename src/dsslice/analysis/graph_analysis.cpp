@@ -1,8 +1,6 @@
 #include "dsslice/analysis/graph_analysis.hpp"
 
 #include <atomic>
-#include <deque>
-#include <unordered_map>
 
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/util/check.hpp"
@@ -34,59 +32,55 @@ GraphAnalysis::GraphAnalysis(const TaskGraph& g)
   // CSR adjacency in both directions, preserving TaskGraph's per-node order,
   // with the arc payloads (message sizes) and arc indices flattened
   // alongside so hot paths never fall back to per-arc linear searches.
-  std::unordered_map<std::uint64_t, std::uint32_t> arc_index;
-  arc_index.reserve(g.arc_count());
   const auto& arcs = g.arcs();
-  for (std::size_t k = 0; k < arcs.size(); ++k) {
-    arc_index.emplace(
-        (static_cast<std::uint64_t>(arcs[k].from) << 32) | arcs[k].to,
-        static_cast<std::uint32_t>(k));
-  }
-  succ_data_.reserve(g.arc_count());
-  pred_data_.reserve(g.arc_count());
-  succ_items_.reserve(g.arc_count());
-  pred_items_.reserve(g.arc_count());
-  pred_arc_.reserve(g.arc_count());
+  const std::size_t m = arcs.size();
+  succ_data_.reserve(m);
+  pred_data_.reserve(m);
+  succ_items_.reserve(m);
   for (NodeId v = 0; v < n_; ++v) {
     succ_off_[v] = succ_data_.size();
     const auto succ = g.successors(v);
     const auto items = g.successor_items(v);
-    for (std::size_t k = 0; k < succ.size(); ++k) {
-      succ_data_.push_back(succ[k]);
-      succ_items_.push_back(items[k]);
-    }
+    succ_data_.insert(succ_data_.end(), succ.begin(), succ.end());
+    succ_items_.insert(succ_items_.end(), items.begin(), items.end());
     pred_off_[v] = pred_data_.size();
-    for (const NodeId u : g.predecessors(v)) {
-      pred_data_.push_back(u);
-      const auto it =
-          arc_index.find((static_cast<std::uint64_t>(u) << 32) | v);
-      DSSLICE_CHECK(it != arc_index.end(), "predecessor without an arc");
-      pred_arc_.push_back(it->second);
-      pred_items_.push_back(arcs[it->second].message_items);
-    }
+    const auto pred = g.predecessors(v);
+    pred_data_.insert(pred_data_.end(), pred.begin(), pred.end());
   }
   succ_off_[n_] = succ_data_.size();
   pred_off_[n_] = pred_data_.size();
 
+  // TaskGraph::add_arc appends `from` to predecessors(to) in arc-insertion
+  // order, so one pass over arcs() fills v's predecessor slots in order:
+  // the arc landing in a slot must name that slot's predecessor. After the
+  // pass, filled[v] is v's in-degree, which seeds Kahn's algorithm below.
+  std::vector<std::size_t> filled(n_, 0);
+  pred_arc_.resize(m);
+  pred_items_.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const Arc& arc = arcs[k];
+    const std::size_t slot = pred_off_[arc.to] + filled[arc.to]++;
+    DSSLICE_CHECK(slot < pred_off_[arc.to + 1] && pred_data_[slot] == arc.from,
+                  "predecessor without an arc");
+    pred_arc_[slot] = static_cast<std::uint32_t>(k);
+    pred_items_[slot] = arc.message_items;
+  }
+
   // Kahn topological order — same FIFO discipline (ascending seed scan,
-  // deque) as algorithms::topological_order, so the orders are identical.
+  // first-in first-out) as algorithms::topological_order, so the orders are
+  // identical. topo_ is its own queue: entries before `head` are done.
   {
-    std::vector<std::size_t> in_deg(n_);
-    std::deque<NodeId> ready;
+    std::vector<std::size_t>& in_deg = filled;
+    topo_.reserve(n_);
     for (NodeId v = 0; v < n_; ++v) {
-      in_deg[v] = predecessors(v).size();
       if (in_deg[v] == 0) {
-        ready.push_back(v);
+        topo_.push_back(v);
       }
     }
-    topo_.reserve(n_);
-    while (!ready.empty()) {
-      const NodeId v = ready.front();
-      ready.pop_front();
-      topo_.push_back(v);
-      for (const NodeId w : successors(v)) {
+    for (std::size_t head = 0; head < topo_.size(); ++head) {
+      for (const NodeId w : successors(topo_[head])) {
         if (--in_deg[w] == 0) {
-          ready.push_back(w);
+          topo_.push_back(w);
         }
       }
     }

@@ -5,8 +5,8 @@
 #include <chrono>
 #include <vector>
 
-#include "dsslice/gen/rng.hpp"
 #include "dsslice/obs/trace.hpp"
+#include "dsslice/sweep/sweep_engine.hpp"
 
 namespace dsslice {
 
@@ -24,15 +24,16 @@ ExperimentResult run_batch(
   const auto t0 = std::chrono::steady_clock::now();
 
   std::vector<GraphOutcome> outcomes(count);
-  // Each worker thread keeps its own ScenarioScratch so the slicing buffers
-  // are recycled across every scenario it evaluates; chunking amortizes the
-  // dispatch overhead while still load-balancing uneven graph costs.
-  const auto evaluate_range = [&](std::size_t begin, std::size_t end) {
-    thread_local ScenarioScratch scratch;
-    for (std::size_t k = begin; k < end; ++k) {
-      outcomes[k] = evaluate_scenario(
-          config, derive_seed(config.generator.base_seed, k), &scratch);
-    }
+  // Each chunk runs through the sweep engine's evaluation loop on the
+  // worker's arena (ScenarioBatch generation, the batch slicing kernel,
+  // recycled scheduler scratch); chunking amortizes the dispatch overhead
+  // while still load-balancing uneven graph costs.
+  const OutcomeSink store = [&outcomes](std::size_t k,
+                                        const GraphOutcome& outcome) {
+    outcomes[k] = outcome;
+  };
+  const auto run_range = [&](std::size_t begin, std::size_t end) {
+    evaluate_range(config, begin, end - begin, store);
   };
   if (pool != nullptr) {
     const std::size_t override = experiment_grain();
@@ -41,9 +42,9 @@ ExperimentResult run_batch(
                       : std::clamp<std::size_t>(
                             count / (8 * std::max<std::size_t>(1, pool->size())),
                             1, 64);
-    parallel_for(*pool, count, grain, evaluate_range);
+    parallel_for(*pool, count, grain, run_range);
   } else {
-    evaluate_range(0, count);
+    run_range(0, count);
   }
 
   ExperimentResult result;

@@ -3,6 +3,10 @@
 // Each of the batch's graphs carries its own derived seed, so the outcome
 // of graph k is independent of execution order: parallel and serial runs
 // produce bit-identical statistics (asserted by the property tests).
+// Evaluation goes through the sweep engine's evaluate_range
+// (sweep/sweep_engine.hpp): ScenarioBatch generation and, for slicing
+// techniques, the SoA batch slicing kernel — bit-identical to folding
+// evaluate_scenario over the indices.
 #pragma once
 
 #include <functional>

@@ -17,8 +17,10 @@ namespace dsslice {
 
 namespace {
 
-/// Per-thread arena: one scenario batch (generator storage + scratch) and
-/// one evaluation scratch, reused across every shard the thread runs.
+/// Per-thread arena: one scenario batch (generator storage + scratch), one
+/// batch slicing kernel and one evaluation scratch, reused across every
+/// evaluate_range call the thread makes (sweep shards and run_experiment
+/// chunks alike).
 /// Arenas self-register so sweep_arena_grow_events() can see the growth
 /// counters of live threads; a dying thread flushes its count into the
 /// retired tally (the obs registry's live+retired idiom).
@@ -35,8 +37,8 @@ class SweepArena {
   BatchSliceKernel kernel;
 
   /// Counts capacity growths of the scratch buffers that no workspace
-  /// accounts for itself (the estimate vectors). Called between shards —
-  /// after the first shard these capacities are warm and stable.
+  /// accounts for itself (the estimate vectors). Called after each
+  /// evaluate_range — once warm these capacities are stable.
   void note_extra_capacity() {
     extra_grow_ += scratch.est.capacity() > est_cap_ ? 1 : 0;
     est_cap_ = std::max(est_cap_, scratch.est.capacity());
@@ -102,6 +104,45 @@ void validate_options(const SweepOptions& options) {
 }
 
 }  // namespace
+
+void evaluate_range(const ExperimentConfig& config, std::size_t first,
+                    std::size_t count, const OutcomeSink& sink,
+                    std::size_t gen_chunk, bool use_batch_kernel) {
+  DSSLICE_REQUIRE(gen_chunk > 0, "gen_chunk must be positive");
+  SweepArena& arena = local_arena();
+  // Slicing techniques route each generator chunk through the SoA batch
+  // kernel: one kernel pass distributes the whole chunk, then every scenario
+  // joins back into the scheduler half. The kernel's bit-identity contract
+  // makes the outcomes indistinguishable from the scalar path.
+  const bool kernel_path = use_batch_kernel && is_slicing(config.technique);
+  BatchSliceConfig kernel_config;
+  if (kernel_path) {
+    kernel_config.metric = metric_of(config.technique);
+    kernel_config.params = config.metric_params;
+    kernel_config.wcet_strategy = config.wcet_strategy;
+  }
+  const std::size_t last = first + count;
+  for (std::size_t chunk = first; chunk < last; chunk += gen_chunk) {
+    const std::size_t n = std::min(gen_chunk, last - chunk);
+    arena.batch.generate(config.generator, chunk, n);
+    if (kernel_path) {
+      arena.kernel.run(arena.batch.scenarios(), kernel_config);
+      for (std::size_t i = 0; i < n; ++i) {
+        sink(chunk + i,
+             evaluate_scheduled(config, arena.batch[i],
+                                arena.kernel.assignment(i),
+                                arena.kernel.outcome_min_laxity(i),
+                                arena.kernel.stats(i).passes, &arena.scratch));
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        sink(chunk + i,
+             evaluate_generated(config, arena.batch[i], &arena.scratch));
+      }
+    }
+  }
+  arena.note_extra_capacity();
+}
 
 std::uint64_t sweep_arena_grow_events() {
   ArenaRegistry& reg = arena_registry();
@@ -200,45 +241,18 @@ SweepReport run_sweep(const ExperimentConfig& config,
                   static_cast<std::int64_t>(resumed_successes));
   }
 
-  // Slicing techniques route each generator chunk through the SoA batch
-  // kernel: one kernel pass distributes the whole chunk, then every scenario
-  // joins back into the scheduler half. The kernel's bit-identity contract
-  // makes the aggregates indistinguishable from the scalar path.
-  const bool kernel_path =
-      options.use_batch_kernel && is_slicing(config.technique);
-  BatchSliceConfig kernel_config;
-  if (kernel_path) {
-    kernel_config.metric = metric_of(config.technique);
-    kernel_config.params = config.metric_params;
-    kernel_config.wcet_strategy = config.wcet_strategy;
-  }
-
   const auto run_one_shard = [&](std::size_t shard) {
     DSSLICE_SPAN("sweep.shard");
-    SweepArena& arena = local_arena();
     SweepAggregate aggregate;
     const std::size_t first = shard * options.shard_size;
     const std::size_t last =
         std::min(first + options.shard_size, options.scenario_count);
-    for (std::size_t chunk = first; chunk < last; chunk += options.gen_chunk) {
-      const std::size_t n = std::min(options.gen_chunk, last - chunk);
-      arena.batch.generate(config.generator, chunk, n);
-      if (kernel_path) {
-        arena.kernel.run(arena.batch.scenarios(), kernel_config);
-        for (std::size_t i = 0; i < n; ++i) {
-          aggregate.add(evaluate_scheduled(
-              config, arena.batch[i], arena.kernel.assignment(i),
-              arena.kernel.outcome_min_laxity(i), arena.kernel.stats(i).passes,
-              &arena.scratch));
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          aggregate.add(evaluate_generated(config, arena.batch[i],
-                                           &arena.scratch));
-        }
-      }
-    }
-    arena.note_extra_capacity();
+    evaluate_range(
+        config, first, last - first,
+        [&aggregate](std::size_t, const GraphOutcome& outcome) {
+          aggregate.add(outcome);
+        },
+        options.gen_chunk, options.use_batch_kernel);
     state.shards[shard] = aggregate;
     state.completed[shard] = 1;
     DSSLICE_COUNT("sweep.shards_completed", 1);

@@ -5,9 +5,10 @@
 // consecutive scenario indices. A shard is the unit of scheduling,
 // aggregation and checkpointing:
 //
-//   - workers claim shards via the thread pool; within a shard, scenarios
-//     are generated in ScenarioBatch chunks (amortizing generator scratch)
-//     and evaluated through evaluate_generated with a per-thread
+//   - workers claim shards via the thread pool; within a shard,
+//     evaluate_range generates scenarios in ScenarioBatch chunks
+//     (amortizing generator scratch), slices each chunk in one
+//     BatchSliceKernel pass and schedules every scenario with a per-thread
 //     ScenarioScratch — after warm-up the whole path is allocation-free
 //     (sweep_arena_grow_events() is the counter the benches gate on);
 //   - each shard folds its outcomes into its own SweepAggregate; the final
@@ -20,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "dsslice/sim/experiment.hpp"
@@ -79,11 +81,28 @@ SweepReport run_sweep(const ExperimentConfig& config,
 SweepReport run_sweep(const ExperimentConfig& config,
                       const SweepOptions& options);
 
+/// Receives the outcome of scenario `index` (absolute, under the config's
+/// base seed).
+using OutcomeSink = std::function<void(std::size_t index, const GraphOutcome&)>;
+
+/// The evaluation loop shared by run_sweep and run_experiment: evaluates
+/// scenarios [first, first + count) on the calling thread's arena and calls
+/// `sink` once per index, in index order. Scenarios are generated in
+/// ScenarioBatch chunks of up to `gen_chunk`; for slicing techniques with
+/// `use_batch_kernel` each chunk is sliced in one BatchSliceKernel pass and
+/// joined back into evaluate_scheduled, otherwise every scenario goes
+/// through evaluate_generated. Either way scenario k's outcome is
+/// bit-identical to evaluate_scenario(config, derive_seed(base_seed, k)).
+void evaluate_range(const ExperimentConfig& config, std::size_t first,
+                    std::size_t count, const OutcomeSink& sink,
+                    std::size_t gen_chunk = 64, bool use_batch_kernel = true);
+
 /// Capacity growths observed inside the sweep's per-thread arenas
 /// (generator batch storage + scratch, scheduler workspaces, estimate
 /// buffers) since process start, including arenas of exited threads. Warm
-/// sweeps must not move this counter — the zero-allocation gate enforced by
-/// bench/perf_sweep and the sweep tests.
+/// sweeps (and warm run_experiment batches, which share the arenas) must not
+/// move this counter — the zero-allocation gate enforced by bench/perf_sweep
+/// and the sweep and runner tests.
 std::uint64_t sweep_arena_grow_events();
 
 }  // namespace dsslice
