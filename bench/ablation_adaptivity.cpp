@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                                         DistributionTechnique::kSlicingNorm}) {
     ExperimentConfig c = base;
     c.technique = t;
-    const ExperimentResult r = run_experiment(c, pool);
+    const SweepAggregate r = run_experiment(c, pool);
     std::printf("reference %-12s success %s\n", to_string(t).c_str(),
                 format_percent(r.success_ratio(), 1).c_str());
   }

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
         DistributionTechnique::kSlicingAdaptL}) {
     ExperimentConfig c = base;
     c.technique = t;
-    const ExperimentResult r = run_experiment(c, pool);
+    const SweepAggregate r = run_experiment(c, pool);
     table.add_row({to_string(metric_of(t)),
                    format_percent(r.success_ratio(), 1),
                    format_fixed(r.max_lateness.mean(), 2),

@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
   config.generator.graph_count = smoke ? 32 : 256;
   config.generator.base_seed = 0x0B5;
   const auto run_batch_once = [&] {
-    const ExperimentResult r = run_experiment_serial(config);
+    const SweepAggregate r = run_experiment_serial(config);
     g_sink = r.success.trials();
   };
   const auto [pipe_off_s, pipe_on_s] = bench::time_per_call_pair(

@@ -10,7 +10,8 @@
 // The "legacy" side is the pre-batching generator,
 // reference::generate_scenario (reference/generation.hpp), built in the same
 // tree under identical flags. The harness asserts the batched path
-// reproduces the legacy scenarios bit-for-bit, that resume-after-interrupt
+// reproduces the legacy scenarios bit-for-bit, that the sweep's aggregate
+// equals the legacy loop's shard-order fold, that resume-after-interrupt
 // and thread count leave the streamed aggregate bit-identical, and that the
 // warm sweep path performs zero scratch-buffer growths; it then reports
 // speedups, runs the large streaming sweep, and writes BENCH_sweep.json.
@@ -39,6 +40,7 @@ using bench::json_number;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kGenChunk = 64;
+constexpr std::size_t kShardSize = 512;  // shards of the timed sweep
 
 struct Report {
   bool generation_identical = true;
@@ -51,7 +53,6 @@ struct Report {
   double gen_batched_us = 0.0;
   double e2e_legacy_us = 0.0;
   double e2e_sweep_us = 0.0;
-  double scalar_sweep_us = 0.0;  // sweep with the batch kernel disabled
   // The large streaming run.
   std::size_t sweep_scenarios = 0;
   std::size_t sweep_shards = 0;
@@ -64,9 +65,6 @@ struct Report {
   }
   double e2e_speedup() const {
     return e2e_sweep_us > 0.0 ? e2e_legacy_us / e2e_sweep_us : 0.0;
-  }
-  double batch_kernel_speedup() const {
-    return e2e_sweep_us > 0.0 ? scalar_sweep_us / e2e_sweep_us : 0.0;
   }
   double sweep_per_sec() const {
     return sweep_wall_seconds > 0.0
@@ -89,10 +87,6 @@ std::string to_json(const Report& r) {
   out += "  \"end_to_end\": {\"legacy_us\": " + json_number(r.e2e_legacy_us) +
          ", \"sweep_us\": " + json_number(r.e2e_sweep_us) +
          ", \"speedup\": " + json_number(r.e2e_speedup()) + "},\n";
-  out += "  \"batch_kernel\": {\"scalar_us\": " +
-         json_number(r.scalar_sweep_us) +
-         ", \"kernel_us\": " + json_number(r.e2e_sweep_us) +
-         ", \"speedup\": " + json_number(r.batch_kernel_speedup()) + "},\n";
   out += std::string("  \"gates\": {\"generation_identical\": ") +
          (r.generation_identical ? "true" : "false") +
          ", \"resume_identical\": " + (r.resume_identical ? "true" : "false") +
@@ -199,38 +193,35 @@ int main(int argc, char** argv) {
       warm.scenario_count = std::min<std::size_t>(n, 512);
       (void)run_sweep(config, warm, pool);
     }
+    // The scalar loop folds its outcomes the way the sweep does — one
+    // aggregate per shard, merged in shard order — so the batched sweep
+    // (generation, slicing kernel) must reproduce it bit for bit.
     ScenarioScratch scratch;
+    SweepAggregate scalar_fold;
+    SweepAggregate shard;
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
       const Scenario sc =
           reference::generate_scenario(gen, derive_seed(gen.base_seed, i));
-      volatile bool sink = evaluate_generated(config, sc, &scratch).scheduled;
-      (void)sink;
+      shard.add(evaluate_generated(config, sc, &scratch));
+      if ((i + 1) % kShardSize == 0 || i + 1 == n) {
+        scalar_fold.merge(shard);
+        shard = SweepAggregate{};
+      }
     }
     const auto t1 = Clock::now();
     SweepOptions opt;
     opt.scenario_count = n;
-    opt.shard_size = 512;
+    opt.shard_size = kShardSize;
     const SweepReport kernel_run = run_sweep(config, opt, pool);
     const auto t2 = Clock::now();
-    // The same sweep with the batch kernel switched off: the on/off pair
-    // must fold to bit-identical aggregates, and the timing difference is
-    // the kernel's contribution to end-to-end throughput.
-    SweepOptions scalar_opt = opt;
-    scalar_opt.use_batch_kernel = false;
-    const SweepReport scalar_run = run_sweep(config, scalar_opt, pool);
-    const auto t3 = Clock::now();
-    report.batch_identical =
-        serialize_sweep_aggregate(kernel_run.aggregate) ==
-        serialize_sweep_aggregate(scalar_run.aggregate);
+    report.batch_identical = serialize_sweep_aggregate(kernel_run.aggregate) ==
+                             serialize_sweep_aggregate(scalar_fold);
     report.e2e_legacy_us =
         std::chrono::duration<double, std::micro>(t1 - t0).count() /
         static_cast<double>(n);
     report.e2e_sweep_us =
         std::chrono::duration<double, std::micro>(t2 - t1).count() /
-        static_cast<double>(n);
-    report.scalar_sweep_us =
-        std::chrono::duration<double, std::micro>(t3 - t2).count() /
         static_cast<double>(n);
 
     // Gate 2: zero warm-path scratch growth once the arena has settled.
@@ -252,10 +243,7 @@ int main(int argc, char** argv) {
   }
   std::printf("end to end  %7.1f us -> %7.1f us per scenario (%.2fx)\n",
               report.e2e_legacy_us, report.e2e_sweep_us, report.e2e_speedup());
-  std::printf("batch kernel off -> on  %7.1f us -> %7.1f us (%.2fx), "
-              "aggregates %s\n",
-              report.scalar_sweep_us, report.e2e_sweep_us,
-              report.batch_kernel_speedup(),
+  std::printf("sweep aggregate vs scalar fold: %s\n",
               report.batch_identical ? "identical" : "DIVERGED");
   std::printf("steady-state scratch growths: %llu\n",
               static_cast<unsigned long long>(report.steady_grow_events));

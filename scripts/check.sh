@@ -42,10 +42,6 @@ slicing_smoke() {
   python3 scripts/bench_compare.py "$out/slicing.json" \
     --baseline BENCH_slicing.json --tolerance 0.6 "$@"
 }
-echo "==> bench smoke [perf_slicing, default]"
-slicing_smoke ./build
-echo "==> bench smoke [perf_slicing, sanitize]"
-slicing_smoke ./build-sanitize --correctness-only
 
 # Batch slicing kernel smoke: the lanes64-vs-reference A/B under both
 # presets. The bit-identity and zero-allocation gates must hold under
@@ -71,10 +67,6 @@ batch_smoke() {
       { echo "batch smoke [$tag]: metrics missing $counter" >&2; exit 1; }
   done
 }
-echo "==> bench smoke [perf_slicing_batch, default]"
-batch_smoke ./build
-echo "==> bench smoke [perf_slicing_batch, sanitize]"
-batch_smoke ./build-sanitize --correctness-only
 # perf_scheduling runs two passes, mirroring scripts/bench.sh: a timed pass
 # with recording off whose JSON is diffed against the committed
 # BENCH_scheduling.json, and a short instrumented pass whose trace/metrics
@@ -104,16 +96,13 @@ scheduling_smoke() {
   python3 scripts/bench_compare.py "$out/scheduling.json" \
     --baseline BENCH_scheduling.json --tolerance 0.6 "$@"
 }
-echo "==> bench smoke [perf_scheduling, default]"
-scheduling_smoke ./build
-echo "==> bench smoke [perf_scheduling, sanitize]"
-scheduling_smoke ./build-sanitize --correctness-only
 
 # Sweep smoke: the batched sweep engine on a tiny scenario count, under both
 # presets. perf_sweep --smoke re-checks the bit-identity gates (batched vs
-# single generation, resume vs uninterrupted, 1 vs N threads) and the
-# steady-state zero-allocation gate — all of which must also hold under
-# ASan/UBSan — and its JSON is diffed against the committed BENCH_sweep.json.
+# single generation, sweep vs scalar fold, resume vs uninterrupted, 1 vs N
+# threads) and the steady-state zero-allocation gate — all of which must
+# also hold under ASan/UBSan — and its JSON is diffed against the committed
+# BENCH_sweep.json.
 # A short instrumented sweep_runner pass then validates the engine's
 # trace/metrics exports with tools/trace_check.
 sweep_smoke() {
@@ -136,10 +125,6 @@ sweep_smoke() {
       { echo "sweep smoke [$tag]: metrics missing $counter" >&2; exit 1; }
   done
 }
-echo "==> sweep smoke [default]"
-sweep_smoke ./build
-echo "==> sweep smoke [sanitize]"
-sweep_smoke ./build-sanitize --correctness-only
 
 # Degradation smoke: the graceful-degradation surface on a tiny grid, under
 # both presets (the sanitize pass covers the shed/migrate recovery paths and
@@ -160,10 +145,6 @@ degradation_smoke() {
     { echo "degradation smoke [$tag]: metrics missing shed counter" >&2;
       exit 1; }
 }
-echo "==> degradation smoke [default]"
-degradation_smoke ./build
-echo "==> degradation smoke [sanitize]"
-degradation_smoke ./build-sanitize
 
 # Observability smoke: a small sweep exporting a Chrome trace + JSONL
 # metrics, validated by tools/trace_check, under both presets (the sanitize
@@ -182,10 +163,6 @@ obs_smoke() {
   grep -q "slice.run" "$out/summary.txt" ||
     { echo "obs smoke [$tag]: summary missing slicing spans" >&2; exit 1; }
 }
-echo "==> obs smoke [default]"
-obs_smoke ./build
-echo "==> obs smoke [sanitize]"
-obs_smoke ./build-sanitize
 
 # Streaming obs smoke: a checkpointed sweep watched live by the StreamSink
 # (status heartbeat + metrics-delta stream + Chrome-trace chunks), under
@@ -224,10 +201,25 @@ stream_smoke() {
       { echo "stream smoke [$tag]: metrics missing $counter" >&2; exit 1; }
   done
 }
-echo "==> stream smoke [default]"
-stream_smoke ./build
-echo "==> stream smoke [sanitize]"
-stream_smoke ./build-sanitize
+
+# Every smoke runs against ./build, then against ./build-sanitize with its
+# sanitize-only extra arguments, in table order.
+smokes=(
+  "slicing_smoke --correctness-only"
+  "batch_smoke --correctness-only"
+  "scheduling_smoke --correctness-only"
+  "sweep_smoke --correctness-only"
+  "degradation_smoke"
+  "obs_smoke"
+  "stream_smoke"
+)
+for entry in "${smokes[@]}"; do
+  read -r -a smoke <<< "$entry"
+  echo "==> ${smoke[0]} [default]"
+  "${smoke[0]}" ./build
+  echo "==> ${smoke[0]} [sanitize]"
+  "${smoke[0]}" ./build-sanitize "${smoke[@]:1}"
+done
 
 # perf_obs gates the runtime-disabled overhead at <=2% and the streaming
 # (StreamSink attached) overhead at <=5%; its JSON is diffed against the

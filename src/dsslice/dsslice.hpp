@@ -67,7 +67,6 @@
 #include "dsslice/sched/schedule.hpp"
 #include "dsslice/sched/validation.hpp"
 #include "dsslice/sim/experiment.hpp"
-#include "dsslice/sim/runner.hpp"
 #include "dsslice/sim/serialization.hpp"
 #include "dsslice/sim/sweeps.hpp"
 #include "dsslice/sweep/aggregate.hpp"

@@ -183,9 +183,8 @@ RobustnessResult run_robustness_batch(const RobustnessConfig& config,
     }
   };
   if (pool != nullptr) {
-    const std::size_t grain = std::clamp<std::size_t>(
-        total / (8 * std::max<std::size_t>(1, pool->size())), 1, 64);
-    parallel_for(*pool, total, grain, evaluate_range);
+    parallel_for(*pool, total, default_grain(total, pool->size()),
+                 evaluate_range);
   } else {
     evaluate_range(0, total);
   }

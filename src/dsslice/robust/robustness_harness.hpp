@@ -18,6 +18,7 @@
 #include "dsslice/robust/recovery.hpp"
 #include "dsslice/sim/experiment.hpp"
 #include "dsslice/sim/sweeps.hpp"
+#include "dsslice/util/stats.hpp"
 #include "dsslice/util/thread_pool.hpp"
 
 namespace dsslice {

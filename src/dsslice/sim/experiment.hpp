@@ -6,7 +6,7 @@
 // one scheduler configuration, evaluated over `generator.graph_count`
 // independently seeded task graphs. The primary result is the success ratio
 // (§4.2); secondary quality measures and algorithm diagnostics are
-// aggregated alongside.
+// aggregated alongside (SweepAggregate, sweep/aggregate.hpp).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include "dsslice/sched/edf_list_scheduler.hpp"
 #include "dsslice/sched/preemptive_scheduler.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
-#include "dsslice/util/stats.hpp"
 
 namespace dsslice {
 
@@ -52,25 +51,6 @@ struct GraphOutcome {
   double makespan = 0.0;      ///< only for successful schedules
   std::size_t slicing_passes = 0;  ///< 0 for non-slicing techniques
   std::size_t task_count = 0;
-};
-
-/// Aggregate over a batch of task sets.
-struct ExperimentResult {
-  SuccessCounter success;
-  RunningStats min_laxity;
-  RunningStats max_lateness;   ///< over outcomes with lateness_valid
-  RunningStats makespan;       ///< over successful schedules
-  RunningStats slicing_passes;
-  RunningStats task_count;
-  double wall_seconds = 0.0;
-
-  void add(const GraphOutcome& outcome);
-  void merge(const ExperimentResult& other);
-
-  double success_ratio() const { return success.ratio(); }
-
-  /// One-line human-readable summary.
-  std::string summary(const std::string& label) const;
 };
 
 /// Reusable per-worker scratch for batch evaluation. Passing one instance to

@@ -1,5 +1,6 @@
 #include "dsslice/sim/sweeps.hpp"
 
+#include <chrono>
 #include <cstdio>
 
 #include "dsslice/util/check.hpp"
@@ -35,9 +36,12 @@ SweepResult run_sweep(const std::string& x_label, std::vector<double> xs,
     series.name = spec.name;
     for (const double x : result.x) {
       const ExperimentConfig config = spec.factory(x);
-      const ExperimentResult r = run_experiment(config, pool);
+      const auto t0 = std::chrono::steady_clock::now();
+      const SweepAggregate r = run_experiment(config, pool);
+      result.wall_seconds += std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
       result.scenarios += config.generator.graph_count;
-      result.wall_seconds += r.wall_seconds;
       series.success_ratio.push_back(r.success_ratio());
       series.ci95.push_back(r.success.ci95_halfwidth());
       series.mean_min_laxity.push_back(r.min_laxity.mean());

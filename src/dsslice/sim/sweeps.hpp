@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "dsslice/sim/experiment.hpp"
-#include "dsslice/sim/runner.hpp"
+#include "dsslice/sweep/sweep_engine.hpp"
 
 namespace dsslice {
 
@@ -26,7 +26,7 @@ struct SweepResult {
   std::vector<double> x;
   std::vector<Series> series;
   /// Aggregate throughput bookkeeping: scenario evaluations summed over
-  /// every cell, and the wall time their batches reported. Filled by
+  /// every cell, and the wall time of their batches. Filled by
   /// run_sweep (and the robustness sweep); benches report scenarios/sec.
   std::size_t scenarios = 0;
   double wall_seconds = 0.0;

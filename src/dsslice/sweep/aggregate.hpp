@@ -1,11 +1,13 @@
-// Streaming per-shard aggregate for the million-scenario sweep engine.
+// Streaming aggregate over scenario outcomes — the one result type of both
+// batch drivers (run_experiment and run_sweep, sweep/sweep_engine.hpp).
 //
 // A sweep never retains per-scenario outcomes: every shard folds its
 // GraphOutcomes into one SweepAggregate online (O(1) memory per shard) and
 // the engine merges the per-shard aggregates in shard-index order. Because
 // Welford merges are order-sensitive in the last bits, that fixed fold
 // order is what makes 1-thread and N-thread sweeps — and interrupted-then-
-// resumed sweeps — produce bit-identical results.
+// resumed sweeps — produce bit-identical results. run_experiment folds its
+// outcomes in index order instead.
 #pragma once
 
 #include <string>
@@ -15,8 +17,8 @@
 
 namespace dsslice {
 
-/// Online aggregate over a set of scenario outcomes. Mirrors
-/// ExperimentResult's measures and adds a laxity histogram so the sweep can
+/// Online aggregate over a set of scenario outcomes: the success ratio, the
+/// moments of each secondary measure, and a laxity histogram so a batch can
 /// report the *distribution* of min-laxity (the infeasibility tail), not
 /// just its moments, without retaining scenarios.
 struct SweepAggregate {
@@ -38,5 +40,8 @@ struct SweepAggregate {
   /// One-line human-readable summary.
   std::string summary(const std::string& label) const;
 };
+
+/// run_experiment's historical result name.
+using ExperimentResult = SweepAggregate;
 
 }  // namespace dsslice

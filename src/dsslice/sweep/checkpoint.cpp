@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -108,7 +109,10 @@ void write_stat(std::ostringstream& os, const std::string& name,
      << hex64(s.max) << '\n';
 }
 
-RunningStats read_stat(LineReader& reader, const std::string& name) {
+/// Reads one stat line, rejecting a sample count outside [min_n, max_n]:
+/// each measure of a shard counts a fixed subset of its scenarios.
+RunningStats read_stat(LineReader& reader, const std::string& name,
+                       std::uint64_t min_n, std::uint64_t max_n) {
   const std::vector<std::string> tokens = reader.next();
   if (tokens.size() != 8 || tokens[0] != "stat" || tokens[1] != name) {
     reader.fail("expected 'stat " + name + "' with 6 argument(s)");
@@ -120,6 +124,11 @@ RunningStats read_stat(LineReader& reader, const std::string& name) {
   s.sum = reader.to_hex_double(tokens[5]);
   s.min = reader.to_hex_double(tokens[6]);
   s.max = reader.to_hex_double(tokens[7]);
+  if (s.n < min_n || s.n > max_n) {
+    reader.fail("stat " + name + " counts " + tokens[2] +
+                " samples, expected " +
+                (min_n == max_n ? "" : "at most ") + std::to_string(max_n));
+  }
   return RunningStats::from_state(s);
 }
 
@@ -139,7 +148,10 @@ void write_aggregate(std::ostringstream& os, const SweepAggregate& a) {
   os << '\n';
 }
 
-SweepAggregate read_aggregate(LineReader& reader) {
+/// Reads the aggregate of a shard holding `scenarios` scenarios, rejecting
+/// counts that contradict it: a resume would otherwise fold them into the
+/// sweep as real trials.
+SweepAggregate read_aggregate(LineReader& reader, std::uint64_t scenarios) {
   SweepAggregate a;
   std::vector<std::string> tokens = reader.next();
   reader.expect(tokens, "success", 2);
@@ -148,12 +160,16 @@ SweepAggregate read_aggregate(LineReader& reader) {
   if (successes > trials) {
     reader.fail("success count exceeds trial count");
   }
+  if (trials != scenarios) {
+    reader.fail("shard records " + tokens[2] + " trials but holds " +
+                std::to_string(scenarios) + " scenarios");
+  }
   a.success.add_many(successes, trials);
-  a.min_laxity = read_stat(reader, "min_laxity");
-  a.max_lateness = read_stat(reader, "max_lateness");
-  a.makespan = read_stat(reader, "makespan");
-  a.slicing_passes = read_stat(reader, "slicing_passes");
-  a.task_count = read_stat(reader, "task_count");
+  a.min_laxity = read_stat(reader, "min_laxity", trials, trials);
+  a.max_lateness = read_stat(reader, "max_lateness", 0, trials);
+  a.makespan = read_stat(reader, "makespan", successes, successes);
+  a.slicing_passes = read_stat(reader, "slicing_passes", trials, trials);
+  a.task_count = read_stat(reader, "task_count", trials, trials);
   tokens = reader.next();
   reader.expect(tokens, "hist", 4 + LinearHistogram::kBinCount);
   const double lo = reader.to_hex_double(tokens[1]);
@@ -162,12 +178,29 @@ SweepAggregate read_aggregate(LineReader& reader) {
     reader.fail("histogram range is empty");
   }
   a.laxity = LinearHistogram(lo, hi);
+  // Underflow, overflow and the bins must partition the trials; summing
+  // against the remaining budget keeps a corrupted count from wrapping.
+  std::uint64_t remaining = trials;
+  const auto take = [&](const std::string& tok) {
+    const std::uint64_t v = reader.to_u64(tok);
+    if (v > remaining) {
+      reader.fail("histogram counts exceed the " + std::to_string(trials) +
+                  " trials");
+    }
+    remaining -= v;
+    return v;
+  };
+  const std::uint64_t underflow = take(tokens[3]);
+  const std::uint64_t overflow = take(tokens[4]);
   std::array<std::uint64_t, LinearHistogram::kBinCount> bins{};
   for (std::size_t b = 0; b < LinearHistogram::kBinCount; ++b) {
-    bins[b] = reader.to_u64(tokens[5 + b]);
+    bins[b] = take(tokens[5 + b]);
   }
-  LinearHistogramAccess::restore(a.laxity, reader.to_u64(tokens[3]),
-                                 reader.to_u64(tokens[4]), bins);
+  if (remaining != 0) {
+    reader.fail("histogram counts " + std::to_string(trials - remaining) +
+                " samples, expected " + std::to_string(trials));
+  }
+  LinearHistogramAccess::restore(a.laxity, underflow, overflow, bins);
   return a;
 }
 
@@ -308,7 +341,9 @@ SweepCheckpoint parse_sweep_checkpoint(const std::string& text) {
       reader.fail("duplicate shard " + tokens[1]);
     }
     cp.completed[static_cast<std::size_t>(index)] = 1;
-    cp.shards[static_cast<std::size_t>(index)] = read_aggregate(reader);
+    const std::uint64_t first = index * cp.shard_size;
+    cp.shards[static_cast<std::size_t>(index)] = read_aggregate(
+        reader, std::min(cp.shard_size, cp.scenario_count - first));
   }
   tokens = reader.next();
   reader.expect(tokens, "end", 0);

@@ -51,8 +51,8 @@ std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config);
 std::string serialize_sweep_aggregate(const SweepAggregate& aggregate);
 
 std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint);
-/// Throws ConfigError (with a line number) on version mismatch, truncation
-/// or corruption.
+/// Throws ConfigError (with a line number) on version mismatch, truncation,
+/// corruption, or shard counts that contradict the layout.
 SweepCheckpoint parse_sweep_checkpoint(const std::string& text);
 
 /// Atomic save: writes to `path + ".tmp"` then renames over `path`, so an

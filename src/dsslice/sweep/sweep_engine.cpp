@@ -103,18 +103,53 @@ void validate_options(const SweepOptions& options) {
   }
 }
 
+/// run_experiment's body; a null pool runs every chunk on the calling
+/// thread.
+SweepAggregate run_experiment_batch(const ExperimentConfig& config,
+                                    ThreadPool* pool) {
+  DSSLICE_SPAN("sim.batch");
+  config.generator.validate();
+  const std::size_t count = config.generator.graph_count;
+  DSSLICE_GAUGE("sim.batch.graphs", count);
+
+  // Outcomes are stored per index and folded afterwards in index order, so
+  // the aggregate is independent of chunking and worker assignment; the
+  // chunks amortize dispatch while still load-balancing uneven graph costs.
+  std::vector<GraphOutcome> outcomes(count);
+  const OutcomeSink store = [&outcomes](std::size_t k,
+                                        const GraphOutcome& outcome) {
+    outcomes[k] = outcome;
+  };
+  const auto run_range = [&](std::size_t begin, std::size_t end) {
+    evaluate_range(config, begin, end - begin, store);
+  };
+  if (pool != nullptr) {
+    parallel_for(*pool, count, default_grain(count, pool->size()), run_range);
+  } else {
+    run_range(0, count);
+  }
+
+  SweepAggregate result;
+  for (const GraphOutcome& outcome : outcomes) {
+    result.add(outcome);
+  }
+  DSSLICE_COUNT("sim.batches", 1);
+  DSSLICE_COUNT("sim.scenarios", count);
+  return result;
+}
+
 }  // namespace
 
 void evaluate_range(const ExperimentConfig& config, std::size_t first,
                     std::size_t count, const OutcomeSink& sink,
-                    std::size_t gen_chunk, bool use_batch_kernel) {
+                    std::size_t gen_chunk) {
   DSSLICE_REQUIRE(gen_chunk > 0, "gen_chunk must be positive");
   SweepArena& arena = local_arena();
   // Slicing techniques route each generator chunk through the SoA batch
   // kernel: one kernel pass distributes the whole chunk, then every scenario
   // joins back into the scheduler half. The kernel's bit-identity contract
   // makes the outcomes indistinguishable from the scalar path.
-  const bool kernel_path = use_batch_kernel && is_slicing(config.technique);
+  const bool kernel_path = is_slicing(config.technique);
   BatchSliceConfig kernel_config;
   if (kernel_path) {
     kernel_config.metric = metric_of(config.technique);
@@ -252,7 +287,7 @@ SweepReport run_sweep(const ExperimentConfig& config,
         [&aggregate](std::size_t, const GraphOutcome& outcome) {
           aggregate.add(outcome);
         },
-        options.gen_chunk, options.use_batch_kernel);
+        options.gen_chunk);
     state.shards[shard] = aggregate;
     state.completed[shard] = 1;
     DSSLICE_COUNT("sweep.shards_completed", 1);
@@ -341,6 +376,19 @@ SweepReport run_sweep(const ExperimentConfig& config,
 SweepReport run_sweep(const ExperimentConfig& config,
                       const SweepOptions& options) {
   return run_sweep(config, options, global_pool());
+}
+
+SweepAggregate run_experiment(const ExperimentConfig& config,
+                              ThreadPool& pool) {
+  return run_experiment_batch(config, &pool);
+}
+
+SweepAggregate run_experiment(const ExperimentConfig& config) {
+  return run_experiment(config, global_pool());
+}
+
+SweepAggregate run_experiment_serial(const ExperimentConfig& config) {
+  return run_experiment_batch(config, nullptr);
 }
 
 }  // namespace dsslice

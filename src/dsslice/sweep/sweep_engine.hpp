@@ -1,9 +1,12 @@
-// Batched, sharded, resumable sweep engine — the throughput path for the
-// roadmap's 10⁶–10⁷-scenario evaluation runs.
+// Batch evaluation: the sharded, resumable sweep engine and the per-cell
+// experiment driver, both on one evaluation loop (evaluate_range).
 //
-// Layout: `scenario_count` scenarios are split into shards of `shard_size`
-// consecutive scenario indices. A shard is the unit of scheduling,
-// aggregation and checkpointing:
+// run_experiment evaluates one figure cell — config.generator.graph_count
+// task sets — in parallel chunks and folds the outcomes in index order.
+// run_sweep is the throughput path for the roadmap's 10⁶–10⁷-scenario
+// evaluation runs. Its layout: `scenario_count` scenarios are split into
+// shards of `shard_size` consecutive scenario indices. A shard is the unit
+// of scheduling, aggregation and checkpointing:
 //
 //   - workers claim shards via the thread pool; within a shard,
 //     evaluate_range generates scenarios in ScenarioBatch chunks
@@ -18,6 +21,9 @@
 //     barrier the engine persists the completed-shard bitmap plus per-shard
 //     aggregates (sweep/checkpoint.hpp). An interrupted sweep resumed from
 //     its checkpoint reproduces the uninterrupted aggregates bit-exactly.
+//
+// Either driver's outcome for scenario k depends only on its derived seed,
+// so parallel and serial runs produce bit-identical aggregates.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +57,6 @@ struct SweepOptions {
   /// interruption hook: tests and benches use it to abandon a sweep at a
   /// checkpoint boundary and resume it later.
   std::size_t max_shards = 0;
-  /// Route slicing techniques through the SoA batch slicing kernel
-  /// (batch/slice_kernel.hpp): each generator chunk is distributed in one
-  /// kernel pass, then joined back into evaluate_scheduled. Bit-identical
-  /// aggregates to the scalar path by the kernel's equivalence contract; off
-  /// switch kept for A/B benchmarking and as a fallback. Ignored for
-  /// non-slicing techniques.
-  bool use_batch_kernel = true;
 };
 
 struct SweepReport {
@@ -81,6 +80,18 @@ SweepReport run_sweep(const ExperimentConfig& config,
 SweepReport run_sweep(const ExperimentConfig& config,
                       const SweepOptions& options);
 
+/// Runs config.generator.graph_count task sets on the given pool and
+/// aggregates their outcomes in index order (deterministic reduction).
+/// Throws ConfigError for an invalid generator configuration.
+SweepAggregate run_experiment(const ExperimentConfig& config,
+                              ThreadPool& pool);
+
+/// Convenience overload using the process-wide pool.
+SweepAggregate run_experiment(const ExperimentConfig& config);
+
+/// Strictly serial run (reference implementation for determinism tests).
+SweepAggregate run_experiment_serial(const ExperimentConfig& config);
+
 /// Receives the outcome of scenario `index` (absolute, under the config's
 /// base seed).
 using OutcomeSink = std::function<void(std::size_t index, const GraphOutcome&)>;
@@ -88,14 +99,14 @@ using OutcomeSink = std::function<void(std::size_t index, const GraphOutcome&)>;
 /// The evaluation loop shared by run_sweep and run_experiment: evaluates
 /// scenarios [first, first + count) on the calling thread's arena and calls
 /// `sink` once per index, in index order. Scenarios are generated in
-/// ScenarioBatch chunks of up to `gen_chunk`; for slicing techniques with
-/// `use_batch_kernel` each chunk is sliced in one BatchSliceKernel pass and
-/// joined back into evaluate_scheduled, otherwise every scenario goes
-/// through evaluate_generated. Either way scenario k's outcome is
-/// bit-identical to evaluate_scenario(config, derive_seed(base_seed, k)).
+/// ScenarioBatch chunks of up to `gen_chunk`; for slicing techniques each
+/// chunk is sliced in one BatchSliceKernel pass and joined back into
+/// evaluate_scheduled, otherwise every scenario goes through
+/// evaluate_generated. Either way scenario k's outcome is bit-identical to
+/// evaluate_scenario(config, derive_seed(base_seed, k)).
 void evaluate_range(const ExperimentConfig& config, std::size_t first,
                     std::size_t count, const OutcomeSink& sink,
-                    std::size_t gen_chunk = 64, bool use_batch_kernel = true);
+                    std::size_t gen_chunk = 64);
 
 /// Capacity growths observed inside the sweep's per-thread arenas
 /// (generator batch storage + scratch, scheduler workspaces, estimate

@@ -167,7 +167,7 @@ void LinearHistogram::add(double x) {
     ++underflow_;
     return;
   }
-  if (x >= hi_) {
+  if (!(x < hi_)) {  // also NaN, whose cast to a bin index is undefined
     ++overflow_;
     return;
   }

@@ -120,7 +120,8 @@ class LinearHistogram {
   static constexpr std::size_t kBinCount = 64;
 
   /// Histogram over [lo, hi) split into kBinCount equal bins. Samples below
-  /// lo land in underflow(), samples at or above hi in overflow().
+  /// lo land in underflow(), samples at or above hi — and NaN — in
+  /// overflow().
   LinearHistogram(double lo, double hi);
   /// Default range for min-laxity distributions: [-200, 440) in time units
   /// (10-unit bins around the paper's c_mean = 20 workloads).

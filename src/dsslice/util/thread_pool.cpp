@@ -1,5 +1,6 @@
 #include "dsslice/util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <utility>
@@ -145,9 +146,9 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
   }
 }
 
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-  parallel_for(global_pool(), count, body);
+std::size_t default_grain(std::size_t count, std::size_t workers) {
+  return std::clamp<std::size_t>(
+      count / (8 * std::max<std::size_t>(1, workers)), 1, 64);
 }
 
 ThreadPool& global_pool() {

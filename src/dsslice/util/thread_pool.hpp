@@ -69,9 +69,11 @@ void parallel_for(ThreadPool& pool, std::size_t count,
 void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
-/// Convenience overload using a process-wide shared pool.
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body);
+/// Default chunk size for the chunked overload over `count` items on
+/// `workers` threads: count / (8 × workers), clamped to [1, 64] — about
+/// eight chunks per worker for load balance, capped so one chunk never
+/// holds more than a generator window's worth of scenarios.
+std::size_t default_grain(std::size_t count, std::size_t workers);
 
 /// Lazily-constructed process-wide pool sized to hardware concurrency.
 ThreadPool& global_pool();

@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dsslice/sim/runner.hpp"
+#include "dsslice/sweep/checkpoint.hpp"
 #include "dsslice/sweep/sweep_engine.hpp"
 #include "test_util.hpp"
 
@@ -21,49 +20,21 @@ ExperimentConfig small_config(std::uint64_t seed, std::size_t graphs = 32) {
   return c;
 }
 
-void expect_same_bits(const RunningStats& actual, const RunningStats& expected,
+/// Every aggregate field of `actual` — counts, Welford state and the laxity
+/// histogram — equals `expected` to the last bit: the checkpoint text form
+/// stores doubles as raw bit patterns.
+void expect_same_bits(const SweepAggregate& actual,
+                      const SweepAggregate& expected,
                       const std::string& what) {
-  const RunningStatsState a = actual.state();
-  const RunningStatsState e = expected.state();
-  EXPECT_EQ(a.n, e.n) << what;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean),
-            std::bit_cast<std::uint64_t>(e.mean))
-      << what << " mean";
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.m2),
-            std::bit_cast<std::uint64_t>(e.m2))
-      << what << " m2";
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sum),
-            std::bit_cast<std::uint64_t>(e.sum))
-      << what << " sum";
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.min),
-            std::bit_cast<std::uint64_t>(e.min))
-      << what << " min";
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.max),
-            std::bit_cast<std::uint64_t>(e.max))
-      << what << " max";
-}
-
-/// Every aggregate field of `actual` equals `expected` to the last bit.
-void expect_same_bits(const ExperimentResult& actual,
-                      const ExperimentResult& expected,
-                      const std::string& what) {
-  EXPECT_EQ(actual.success.successes(), expected.success.successes()) << what;
-  EXPECT_EQ(actual.success.trials(), expected.success.trials()) << what;
-  expect_same_bits(actual.min_laxity, expected.min_laxity,
-                   what + " min_laxity");
-  expect_same_bits(actual.max_lateness, expected.max_lateness,
-                   what + " max_lateness");
-  expect_same_bits(actual.makespan, expected.makespan, what + " makespan");
-  expect_same_bits(actual.slicing_passes, expected.slicing_passes,
-                   what + " slicing_passes");
-  expect_same_bits(actual.task_count, expected.task_count,
-                   what + " task_count");
+  EXPECT_EQ(serialize_sweep_aggregate(actual),
+            serialize_sweep_aggregate(expected))
+      << what;
 }
 
 /// The scalar reference: evaluate_scenario on every derived seed, folded in
 /// index order.
-ExperimentResult scalar_fold(const ExperimentConfig& config) {
-  ExperimentResult result;
+SweepAggregate scalar_fold(const ExperimentConfig& config) {
+  SweepAggregate result;
   for (std::size_t k = 0; k < config.generator.graph_count; ++k) {
     result.add(evaluate_scenario(
         config, derive_seed(config.generator.base_seed, k)));
@@ -71,90 +42,53 @@ ExperimentResult scalar_fold(const ExperimentConfig& config) {
   return result;
 }
 
-/// Sets the process-wide experiment grain for one scope.
-class GrainOverride {
- public:
-  explicit GrainOverride(std::size_t grain) { set_experiment_grain(grain); }
-  ~GrainOverride() { set_experiment_grain(0); }
-  GrainOverride(const GrainOverride&) = delete;
-  GrainOverride& operator=(const GrainOverride&) = delete;
-};
-
 TEST(Runner, ParallelMatchesSerialExactly) {
   const ExperimentConfig c = small_config(42);
   ThreadPool pool(4);
-  const ExperimentResult parallel = run_experiment(c, pool);
-  const ExperimentResult serial = run_experiment_serial(c);
-  EXPECT_EQ(parallel.success.successes(), serial.success.successes());
-  EXPECT_EQ(parallel.success.trials(), serial.success.trials());
-  EXPECT_DOUBLE_EQ(parallel.min_laxity.mean(), serial.min_laxity.mean());
-  EXPECT_DOUBLE_EQ(parallel.min_laxity.variance(),
-                   serial.min_laxity.variance());
-  EXPECT_DOUBLE_EQ(parallel.makespan.sum(), serial.makespan.sum());
+  expect_same_bits(run_experiment(c, pool), run_experiment_serial(c),
+                   "4 workers");
 }
 
 TEST(Runner, TrialCountMatchesGraphCount) {
   const ExperimentConfig c = small_config(1, 17);
-  const ExperimentResult r = run_experiment(c);
+  const SweepAggregate r = run_experiment(c);
   EXPECT_EQ(r.success.trials(), 17u);
   EXPECT_EQ(r.task_count.count(), 17u);
-  EXPECT_GE(r.wall_seconds, 0.0);
-}
-
-TEST(Runner, OutcomeSinkSeesEveryIndexInOrder) {
-  const ExperimentConfig c = small_config(3, 16);
-  ThreadPool pool(4);
-  std::vector<std::size_t> indices;
-  const ExperimentResult r = run_experiment_with_outcomes(
-      c, pool, [&indices](std::size_t k, const GraphOutcome& o) {
-        indices.push_back(k);
-        EXPECT_GT(o.task_count, 0u);
-      });
-  ASSERT_EQ(indices.size(), 16u);
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    EXPECT_EQ(indices[k], k);  // deterministic, in index order
-  }
-  EXPECT_EQ(r.success.trials(), 16u);
+  EXPECT_EQ(r.laxity.count(), 17u);
 }
 
 TEST(Runner, RepeatedRunsAreIdentical) {
   const ExperimentConfig c = small_config(9, 24);
   ThreadPool pool(8);
-  const ExperimentResult r1 = run_experiment(c, pool);
-  const ExperimentResult r2 = run_experiment(c, pool);
-  EXPECT_EQ(r1.success.successes(), r2.success.successes());
-  EXPECT_DOUBLE_EQ(r1.min_laxity.mean(), r2.min_laxity.mean());
+  expect_same_bits(run_experiment(c, pool), run_experiment(c, pool),
+                   "second run");
 }
 
 TEST(Runner, DeterministicAcrossThreadCountsAndGrain) {
   // Graph k's outcome depends only on derive_seed(base_seed, k) — never on
-  // which worker or chunk evaluated it. One worker, many workers, the serial
-  // path, and a forced chunk size must all produce bit-identical statistics.
-  const ExperimentConfig c = small_config(77, 48);
-  const ExperimentResult serial = run_experiment_serial(c);
-
-  ThreadPool one(1);
-  ThreadPool many(7);
-  const ExperimentResult single = run_experiment(c, one);
-  const ExperimentResult parallel = run_experiment(c, many);
-
-  ExperimentResult chunked;
-  {
-    const GrainOverride override(5);  // uneven chunking of the 48 graphs
-    chunked = run_experiment(c, many);
+  // which worker or chunk evaluated it. Pool sizes 1, 3 and 7 over 48 and 77
+  // graphs drive the automatic grain through 6, 2, 1 and 9, 3, 1 (the
+  // uneven splits included); every run must equal the serial path bit for
+  // bit.
+  for (const std::size_t graphs : {std::size_t{48}, std::size_t{77}}) {
+    const ExperimentConfig c = small_config(77, graphs);
+    const SweepAggregate serial = run_experiment_serial(c);
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+      ThreadPool pool(threads);
+      expect_same_bits(run_experiment(c, pool), serial,
+                       std::to_string(graphs) + " graphs, " +
+                           std::to_string(threads) + " workers");
+    }
   }
-
-  expect_same_bits(single, serial, "1 worker");
-  expect_same_bits(parallel, serial, "7 workers");
-  expect_same_bits(chunked, serial, "7 workers, grain 5");
 }
 
 // run_experiment evaluates through the sweep engine's batch pipeline
 // (ScenarioBatch generation, the SoA slicing kernel); the aggregates must
 // equal the scalar evaluate_scenario fold bit for bit for every slicing
 // metric and WCET strategy, every scheduler, a non-slicing technique, an
-// imprecise workload, a graph count that is not a multiple of the 64-
-// scenario generator chunk, and forced grains below and above it.
+// imprecise workload, and a graph count that is not a multiple of the 64-
+// scenario generator chunk.
 TEST(Runner, MatchesScalarEvaluateScenarioBitForBit) {
   std::vector<std::pair<std::string, ExperimentConfig>> cases;
   const auto base = [](DistributionTechnique technique) {
@@ -188,16 +122,29 @@ TEST(Runner, MatchesScalarEvaluateScenarioBitForBit) {
 
   ThreadPool pool(3);
   for (const auto& [name, config] : cases) {
-    const ExperimentResult reference = scalar_fold(config);
+    const SweepAggregate reference = scalar_fold(config);
     ASSERT_EQ(reference.success.trials(), 77u);
     expect_same_bits(run_experiment(config, pool), reference, name);
     expect_same_bits(run_experiment_serial(config), reference,
                      name + " serial");
-    for (const std::size_t grain : {std::size_t{5}, std::size_t{1000}}) {
-      const GrainOverride override(grain);
-      expect_same_bits(run_experiment(config, pool), reference,
-                       name + " grain " + std::to_string(grain));
-    }
+  }
+}
+
+// The two batch drivers agree: run_experiment's index-order fold equals a
+// one-shard run_sweep over the same scenarios, laxity histogram included.
+TEST(Runner, MatchesOneShardSweep) {
+  ThreadPool pool(3);
+  for (const DistributionTechnique technique :
+       {DistributionTechnique::kSlicingAdaptL,
+        DistributionTechnique::kSlicingPure, DistributionTechnique::kKaoED}) {
+    ExperimentConfig config = small_config(0x5A3E, 100);
+    config.technique = technique;
+    SweepOptions options;
+    options.scenario_count = config.generator.graph_count;
+    options.shard_size = config.generator.graph_count;
+    expect_same_bits(run_experiment(config, pool),
+                     run_sweep(config, options, pool).aggregate,
+                     to_string(technique));
   }
 }
 

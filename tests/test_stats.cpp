@@ -174,6 +174,19 @@ TEST(LinearHistogram, BinsUnderflowOverflowAndMerge) {
   EXPECT_EQ(h.bin(31), 2u);
 }
 
+TEST(LinearHistogram, NanCountsAsOverflow) {
+  // NaN compares false against both edges; casting it to a bin index would
+  // be undefined behaviour, so it is counted with the out-of-range samples.
+  LinearHistogram h(0.0, 64.0);
+  h.add(std::nan(""));
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.underflow(), 0u);
+  EXPECT_EQ(h.overflow(), 1u);
+  for (std::size_t b = 0; b < LinearHistogram::kBinCount; ++b) {
+    EXPECT_EQ(h.bin(b), 0u) << "bin " << b;
+  }
+}
+
 TEST(LinearHistogram, MergeRejectsRangeMismatch) {
   LinearHistogram a(0.0, 64.0);
   LinearHistogram b(0.0, 128.0);

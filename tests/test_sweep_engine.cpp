@@ -4,10 +4,12 @@
 // rejected instead of silently mixing aggregates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
 
+#include "dsslice/gen/rng.hpp"
 #include "dsslice/sim/experiment.hpp"
 #include "dsslice/sweep/aggregate.hpp"
 #include "dsslice/sweep/checkpoint.hpp"
@@ -131,6 +133,49 @@ TEST(SweepCheckpoint, ParseRejectsCorruptedValues) {
   std::string corrupted = text;
   corrupted[eol - 1] = 'z';
   EXPECT_THROW(parse_sweep_checkpoint(corrupted), ConfigError);
+
+  // Counts that contradict the layout: shard 0 holds 16 scenarios, 10 of
+  // them scheduled. Each edit stays well-formed, so only the layout checks
+  // can reject it — with the offending line's number.
+  const auto with_token = [&text](const std::string& prefix,
+                                  std::size_t index,
+                                  const std::string& value) {
+    const std::size_t begin = text.find(prefix);
+    EXPECT_NE(begin, std::string::npos) << prefix;
+    std::size_t start = begin;
+    for (std::size_t t = 0; t < index; ++t) {
+      start = text.find(' ', start) + 1;
+    }
+    const std::size_t end = text.find_first_of(" \n", start);
+    std::string edited = text;
+    edited.replace(start, end - start, value);
+    return edited;
+  };
+  const struct {
+    const char* prefix;
+    std::size_t token;
+    const char* value;
+  } cases[] = {
+      {"success ", 2, "999999"},          // trials != shard scenarios
+      {"success ", 2, "15"},
+      {"stat min_laxity ", 2, "15"},      // n != trials
+      {"stat slicing_passes ", 2, "17"},
+      {"stat task_count ", 2, "0"},
+      {"hist ", 5, "1000"},               // histogram total != trials
+      {"stat makespan ", 2, "9"},         // n != successes
+      {"stat max_lateness ", 2, "17"},    // n > trials
+  };
+  for (const auto& c : cases) {
+    const std::string edited = with_token(c.prefix, c.token, c.value);
+    ASSERT_NE(edited, text) << c.prefix << c.value;
+    try {
+      parse_sweep_checkpoint(edited);
+      ADD_FAILURE() << "accepted " << c.prefix << c.value;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("at line "), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SweepEngine, ValidatesOptions) {
@@ -209,9 +254,29 @@ TEST(SweepEngine, ThreadCountDoesNotChangeAggregateBits) {
             serialize_sweep_aggregate(serial.aggregate));
 }
 
+/// The scalar reference of a sweep: evaluate_scenario on every derived
+/// seed, folded per shard, the shards merged in index order.
+SweepAggregate scalar_sweep_fold(const ExperimentConfig& config,
+                                 const SweepOptions& options) {
+  SweepAggregate total;
+  for (std::size_t first = 0; first < options.scenario_count;
+       first += options.shard_size) {
+    const std::size_t last =
+        std::min(first + options.shard_size, options.scenario_count);
+    SweepAggregate shard;
+    for (std::size_t k = first; k < last; ++k) {
+      shard.add(evaluate_scenario(
+          config, derive_seed(config.generator.base_seed, k)));
+    }
+    total.merge(shard);
+  }
+  return total;
+}
+
 // The batch slicing kernel is an execution strategy, not a semantic change:
-// toggling it must not perturb a single aggregate bit, for every slicing
-// metric. (Non-slicing techniques ignore the flag; one spot check.)
+// the sweep must reproduce the scalar evaluate_scenario fold to the last
+// aggregate bit, for every slicing metric. (Non-slicing techniques bypass
+// the kernel; one spot check.)
 TEST(SweepEngine, BatchKernelDoesNotChangeAggregateBits) {
   ThreadPool pool(2);
   const DistributionTechnique techniques[] = {
@@ -221,14 +286,10 @@ TEST(SweepEngine, BatchKernelDoesNotChangeAggregateBits) {
   for (const DistributionTechnique technique : techniques) {
     ExperimentConfig config = sweep_config();
     config.technique = technique;
-    SweepOptions with_kernel = small_options();
-    with_kernel.use_batch_kernel = true;
-    SweepOptions without_kernel = small_options();
-    without_kernel.use_batch_kernel = false;
-    const SweepReport on = run_sweep(config, with_kernel, pool);
-    const SweepReport off = run_sweep(config, without_kernel, pool);
-    EXPECT_EQ(serialize_sweep_aggregate(on.aggregate),
-              serialize_sweep_aggregate(off.aggregate))
+    const SweepReport report = run_sweep(config, small_options(), pool);
+    EXPECT_EQ(serialize_sweep_aggregate(report.aggregate),
+              serialize_sweep_aggregate(
+                  scalar_sweep_fold(config, small_options())))
         << "technique " << to_string(technique);
   }
 }

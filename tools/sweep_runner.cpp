@@ -39,9 +39,6 @@ int main(int argc, char** argv) {
                "--checkpoint to exercise interrupt/resume)");
   cli.add_flag("threads", "0", "worker threads (0: hardware concurrency)");
   cli.add_flag("seed", "20250707", "base seed for scenario generation");
-  cli.add_bool_flag("no-batch-kernel",
-                    "evaluate slicing scenario-at-a-time instead of through "
-                    "the SoA batch kernel (A/B baseline; identical results)");
   dsslice::obs::ObsCli::register_flags(cli);
   if (!cli.parse(argc, argv)) {
     return 1;
@@ -61,7 +58,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("checkpoint-every"));
   options.resume = cli.get_bool("resume");
   options.max_shards = static_cast<std::size_t>(cli.get_int("max-shards"));
-  options.use_batch_kernel = !cli.get_bool("no-batch-kernel");
 
   const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
   try {
