@@ -131,10 +131,10 @@ int main(int argc, char** argv) {
   Report report;
   report.timing_scenarios = smoke
       ? 2000
-      : static_cast<std::size_t>(cli.get_int("timing-scenarios"));
+      : cli.get_count("timing-scenarios");
   const auto sweep_scenarios = smoke
       ? std::size_t{4096}
-      : static_cast<std::size_t>(cli.get_int("scenarios"));
+      : cli.get_count("scenarios");
 
   ExperimentConfig config;  // paper defaults: 40-60 tasks, m=3, ADAPT-L
   const GeneratorConfig& gen = config.generator;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: build + test the default (Release) and sanitize
-# (ASan/UBSan) presets. Run from anywhere; operates on the repo root.
+# (ASan/UBSan) presets, then the concurrency suites under the tsan preset.
+# Run from anywhere; operates on the repo root.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -16,6 +17,18 @@ for preset in default sanitize; do
   echo "==> test [$preset]"
   ctest --preset "$preset" -j "$jobs"
 done
+
+# ThreadSanitizer pass over the concurrency surface: the thread pool and
+# parallel_for, the sweep engine's shard stream (worker lanes publishing
+# while the calling thread writes checkpoints), run_experiment's parallel
+# chunks and the StreamSink drain racing the recorders. The tsan preset
+# builds the library, tools and tests only.
+echo "==> configure [tsan]"
+cmake --preset tsan
+echo "==> build [tsan]"
+cmake --build --preset tsan -j "$jobs"
+echo "==> test [tsan]"
+ctest --preset tsan -j "$jobs" -R 'ThreadPool|SweepEngine|Runner|ObsStream'
 
 # Repository benchmark self-tests (perfbench/, its own Release build): every
 # workload's --smoke stream must reach the pinned reference digests, so this

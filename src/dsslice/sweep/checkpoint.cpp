@@ -1,12 +1,15 @@
 #include "dsslice/sweep/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "dsslice/util/check.hpp"
 
@@ -14,19 +17,50 @@ namespace dsslice {
 
 namespace {
 
-constexpr int kFormatVersion = 1;
+constexpr std::uint64_t kFormatVersion = 1;
 
 /// Sanity bound on shard counts. A count beyond this is a corrupted file,
 /// not a real sweep; rejecting it up front avoids huge allocations.
 constexpr std::uint64_t kMaxShardCount = 1'000'000;
 
-/// Raw IEEE-754 bit pattern as 16 hex digits — exact round-trip by
-/// construction (decimal formatting is not trusted for Welford state).
+/// "00".."ff": the two hex digits of every byte value, so a 64-bit pattern
+/// encodes in eight table lookups.
+constexpr std::array<char, 512> kHexPairs = [] {
+  constexpr char kDigits[] = "0123456789abcdef";
+  std::array<char, 512> table{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    table[2 * b] = kDigits[b >> 4];
+    table[2 * b + 1] = kDigits[b & 0xF];
+  }
+  return table;
+}();
+
+/// Appends the raw IEEE-754 bit pattern of `x` as 16 lower-case hex digits
+/// — exact round-trip by construction (decimal formatting is not trusted
+/// for Welford state).
+void append_hex64(std::string& out, double x) {
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  char buf[16];
+  for (int byte = 7; byte >= 0; --byte) {
+    const std::size_t pair = 2 * static_cast<std::size_t>(bits & 0xFF);
+    buf[2 * byte] = kHexPairs[pair];
+    buf[2 * byte + 1] = kHexPairs[pair + 1];
+    bits >>= 8;
+  }
+  out.append(buf, sizeof buf);
+}
+
 std::string hex64(double x) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(x)));
-  return buf;
+  std::string out;
+  append_hex64(out, x);
+  return out;
+}
+
+/// Appends `v` in decimal.
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
 }
 
 /// Tokenized line reader with position tracking for error messages
@@ -101,12 +135,18 @@ class LineReader {
   int line_no_ = 0;
 };
 
-void write_stat(std::ostringstream& os, const std::string& name,
+void write_stat(std::string& out, std::string_view name,
                 const RunningStats& stats) {
   const RunningStatsState s = stats.state();
-  os << "stat " << name << ' ' << s.n << ' ' << hex64(s.mean) << ' '
-     << hex64(s.m2) << ' ' << hex64(s.sum) << ' ' << hex64(s.min) << ' '
-     << hex64(s.max) << '\n';
+  out += "stat ";
+  out += name;
+  out += ' ';
+  append_u64(out, s.n);
+  for (const double x : {s.mean, s.m2, s.sum, s.min, s.max}) {
+    out += ' ';
+    append_hex64(out, x);
+  }
+  out += '\n';
 }
 
 /// Reads one stat line, rejecting a sample count outside [min_n, max_n]:
@@ -132,20 +172,30 @@ RunningStats read_stat(LineReader& reader, const std::string& name,
   return RunningStats::from_state(s);
 }
 
-void write_aggregate(std::ostringstream& os, const SweepAggregate& a) {
-  os << "success " << a.success.successes() << ' ' << a.success.trials()
-     << '\n';
-  write_stat(os, "min_laxity", a.min_laxity);
-  write_stat(os, "max_lateness", a.max_lateness);
-  write_stat(os, "makespan", a.makespan);
-  write_stat(os, "slicing_passes", a.slicing_passes);
-  write_stat(os, "task_count", a.task_count);
-  os << "hist " << hex64(a.laxity.lo()) << ' ' << hex64(a.laxity.hi()) << ' '
-     << a.laxity.underflow() << ' ' << a.laxity.overflow();
+void write_aggregate(std::string& out, const SweepAggregate& a) {
+  out += "success ";
+  append_u64(out, a.success.successes());
+  out += ' ';
+  append_u64(out, a.success.trials());
+  out += '\n';
+  write_stat(out, "min_laxity", a.min_laxity);
+  write_stat(out, "max_lateness", a.max_lateness);
+  write_stat(out, "makespan", a.makespan);
+  write_stat(out, "slicing_passes", a.slicing_passes);
+  write_stat(out, "task_count", a.task_count);
+  out += "hist ";
+  append_hex64(out, a.laxity.lo());
+  out += ' ';
+  append_hex64(out, a.laxity.hi());
+  out += ' ';
+  append_u64(out, a.laxity.underflow());
+  out += ' ';
+  append_u64(out, a.laxity.overflow());
   for (std::size_t b = 0; b < LinearHistogram::kBinCount; ++b) {
-    os << ' ' << a.laxity.bin(b);
+    out += ' ';
+    append_u64(out, a.laxity.bin(b));
   }
-  os << '\n';
+  out += '\n';
 }
 
 /// Reads the aggregate of a shard holding `scenarios` scenarios, rejecting
@@ -261,35 +311,47 @@ std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config) {
 }
 
 std::string serialize_sweep_aggregate(const SweepAggregate& aggregate) {
-  std::ostringstream os;
-  write_aggregate(os, aggregate);
-  return os.str();
+  std::string out;
+  write_aggregate(out, aggregate);
+  return out;
 }
 
 std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint) {
-  std::ostringstream os;
-  os << "dsslice-sweep-checkpoint " << kFormatVersion << '\n';
-  os << "fingerprint " << checkpoint.fingerprint << '\n';
-  os << "scenarios " << checkpoint.scenario_count << '\n';
-  os << "shard-size " << checkpoint.shard_size << '\n';
-  os << "shard-count " << checkpoint.shard_count() << '\n';
-  os << "completed " << checkpoint.completed_count() << '\n';
+  // Not reserved up front: a worst-case bound (20-digit counts) is about
+  // three times the real text, and that slack showed up in peak RSS;
+  // geometric growth costs no measurable serialize time.
+  std::string out;
+  out += "dsslice-sweep-checkpoint ";
+  append_u64(out, kFormatVersion);
+  out += "\nfingerprint ";
+  append_u64(out, checkpoint.fingerprint);
+  out += "\nscenarios ";
+  append_u64(out, checkpoint.scenario_count);
+  out += "\nshard-size ";
+  append_u64(out, checkpoint.shard_size);
+  out += "\nshard-count ";
+  append_u64(out, checkpoint.shard_count());
+  out += "\ncompleted ";
+  append_u64(out, checkpoint.completed_count());
+  out += '\n';
   for (std::size_t s = 0; s < checkpoint.shard_count(); ++s) {
     if (checkpoint.completed[s] == 0) {
       continue;
     }
-    os << "shard " << s << '\n';
-    write_aggregate(os, checkpoint.shards[s]);
+    out += "shard ";
+    append_u64(out, s);
+    out += '\n';
+    write_aggregate(out, checkpoint.shards[s]);
   }
-  os << "end\n";
-  return os.str();
+  out += "end\n";
+  return out;
 }
 
 SweepCheckpoint parse_sweep_checkpoint(const std::string& text) {
   LineReader reader(text);
   std::vector<std::string> tokens = reader.next();
   reader.expect(tokens, "dsslice-sweep-checkpoint", 1);
-  if (reader.to_u64(tokens[1]) != static_cast<std::uint64_t>(kFormatVersion)) {
+  if (reader.to_u64(tokens[1]) != kFormatVersion) {
     reader.fail("unsupported checkpoint format version " + tokens[1] +
                 " (this build reads version " +
                 std::to_string(kFormatVersion) + ")");

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <mutex>
 #include <vector>
@@ -102,6 +104,240 @@ void validate_options(const SweepOptions& options) {
     throw ConfigError("sweep resume requires a checkpoint path");
   }
 }
+
+/// One run_sweep call's shard stream. `min(pool.size(), pending)` lanes
+/// claim pending shards from an atomic cursor, compute each into its own
+/// slot of state.shards and publish the completion under `mutex_`; the
+/// calling thread is the checkpoint writer. After every `width` newly
+/// completed shards it takes the freshly published shard list under the
+/// lock, then updates the progress gauges and saves the checkpoint outside
+/// it while the lanes keep running. Intervals that complete during one save
+/// fold into the next. A slot is written by exactly one lane and read (by
+/// saves and the final fold) only after its completion was published under
+/// the mutex, so lanes and writer never share memory unsynchronised.
+/// With a single lane every shard runs inline on the caller and saves run
+/// inline at the same interval boundaries.
+class ShardStream {
+ public:
+  ShardStream(const ExperimentConfig& config, const SweepOptions& options,
+              const std::vector<std::size_t>& pending, SweepCheckpoint& state,
+              SweepReport& report, std::size_t width)
+      : config_(config),
+        options_(options),
+        pending_(pending),
+        state_(state),
+        report_(report),
+        width_(width),
+        waves_total_((pending.size() + width - 1) / width),
+        mark_(width) {
+    published_.reserve(pending.size());
+  }
+
+  // Lanes hold `this`.
+  ShardStream(const ShardStream&) = delete;
+  ShardStream& operator=(const ShardStream&) = delete;
+
+  /// Runs every pending shard on `pool`; returns the scenarios computed.
+  /// Rethrows the first shard or save error once every lane has returned.
+  std::uint64_t run(ThreadPool& pool) {
+    last_wake_ = std::chrono::steady_clock::now();
+    std::vector<std::size_t> fresh;
+    fresh.reserve(pending_.size());
+    const std::size_t lanes = std::min(pool.size(), pending_.size());
+    if (lanes <= 1) {
+      std::size_t k = 0;
+      while (claim(k)) {
+        compute(pending_[k]);
+        if (publish(pending_[k]) || done_ == pending_.size()) {
+          take(fresh);
+          on_interval(fresh, done_);
+        }
+      }
+      return scenarios_run_;
+    }
+
+    running_ = lanes;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      try {
+        pool.submit([this] { run_lane(); });
+      } catch (...) {
+        fail(std::current_exception());
+        const std::lock_guard lock(mutex_);
+        running_ -= lanes - lane;
+        break;
+      }
+    }
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      // The predicate turns false again after every wake (take() moves the
+      // mark past done_), so the lock is always released while waiting.
+      cv_.wait(lock, [this] { return running_ == 0 || done_ >= mark_; });
+      const bool last = running_ == 0;
+      take(fresh);
+      const std::size_t done = done_;
+      const bool failed = error_ != nullptr;
+      lock.unlock();
+      if (!failed) {
+        try {
+          on_interval(fresh, done);
+        } catch (...) {
+          fail(std::current_exception());
+        }
+      }
+      lock.lock();
+      if (last) {
+        break;
+      }
+    }
+    if (error_) {
+      std::rethrow_exception(error_);
+    }
+    return scenarios_run_;
+  }
+
+ private:
+  bool claim(std::size_t& k) {
+    if (stop_.load()) {
+      return false;
+    }
+    k = next_.fetch_add(1);
+    return k < pending_.size();
+  }
+
+  void run_lane() {
+    std::size_t k = 0;
+    while (claim(k)) {
+      try {
+        compute(pending_[k]);
+        if (publish(pending_[k])) {
+          cv_.notify_one();
+        }
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    // Notify under the lock: the caller may return (destroying this
+    // stream) as soon as it can take the mutex and sees running_ == 0.
+    const std::lock_guard lock(mutex_);
+    --running_;
+    cv_.notify_one();
+  }
+
+  void compute(std::size_t shard) {
+    DSSLICE_SPAN("sweep.shard");
+    SweepAggregate aggregate;
+    const std::size_t first = shard * options_.shard_size;
+    const std::size_t last =
+        std::min(first + options_.shard_size, options_.scenario_count);
+    evaluate_range(
+        config_, first, last - first,
+        [&aggregate](std::size_t, const GraphOutcome& outcome) {
+          aggregate.add(outcome);
+        },
+        options_.gen_chunk);
+    DSSLICE_COUNT("sweep.shards_completed", 1);
+    DSSLICE_COUNT("sweep.progress.scenarios_done",
+                  static_cast<std::int64_t>(aggregate.scenarios()));
+    DSSLICE_COUNT("sweep.progress.successes",
+                  static_cast<std::int64_t>(aggregate.success.successes()));
+    state_.shards[shard] = aggregate;
+  }
+
+  /// Publishes a computed shard; true when the writer's next mark is
+  /// reached.
+  bool publish(std::size_t shard) {
+    const std::lock_guard lock(mutex_);
+    published_.push_back(shard);
+    ++done_;
+    return done_ >= mark_;
+  }
+
+  void fail(std::exception_ptr error) {
+    const std::lock_guard lock(mutex_);
+    if (!error_) {
+      error_ = std::move(error);
+    }
+    stop_.store(true);
+  }
+
+  /// Under the lock (or inline): moves the published shards into `fresh`
+  /// and the mark past done_.
+  void take(std::vector<std::size_t>& fresh) {
+    fresh.clear();
+    fresh.swap(published_);
+    mark_ = (done_ / width_ + 1) * width_;
+  }
+
+  /// Writer side of one wake: marks the fresh shards completed, updates the
+  /// progress gauges and saves when the file lags the completed set.
+  void on_interval(const std::vector<std::size_t>& fresh, std::size_t done) {
+    if (fresh.empty()) {
+      return;
+    }
+    std::uint64_t fresh_scenarios = 0;
+    for (const std::size_t shard : fresh) {
+      state_.completed[shard] = 1;
+      fresh_scenarios += state_.shards[shard].scenarios();
+    }
+    scenarios_run_ += fresh_scenarios;
+    report_.shards_run = done;
+
+    const auto now = std::chrono::steady_clock::now();
+    const double seconds =
+        std::chrono::duration<double>(now - last_wake_).count();
+    last_wake_ = now;
+    const double rate =
+        seconds > 0.0 ? static_cast<double>(fresh_scenarios) / seconds : 0.0;
+    rate_ewma_ = rate_ewma_ == 0.0 ? rate : 0.25 * rate + 0.75 * rate_ewma_;
+    const std::size_t wave =
+        done == pending_.size() ? waves_total_ : done / width_;
+    DSSLICE_GAUGE("sweep.progress.wave", static_cast<std::int64_t>(wave));
+    DSSLICE_GAUGE("sweep.progress.shards_done",
+                  static_cast<std::int64_t>(done + report_.shards_resumed));
+    DSSLICE_GAUGE("sweep.progress.scenarios_per_sec_ewma", rate_ewma_);
+
+    if (!options_.checkpoint_path.empty()) {
+      DSSLICE_SPAN("sweep.checkpoint");
+      const auto save_t0 = std::chrono::steady_clock::now();
+      const std::size_t bytes =
+          save_sweep_checkpoint(state_, options_.checkpoint_path);
+      const double save_ms =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - save_t0)
+              .count();
+      ++report_.checkpoints_written;
+      DSSLICE_COUNT("sweep.checkpoints_written", 1);
+      DSSLICE_GAUGE("sweep.checkpoint.save_ms", save_ms);
+      DSSLICE_COUNT("sweep.checkpoint.bytes",
+                    static_cast<std::int64_t>(bytes));
+    }
+  }
+
+  const ExperimentConfig& config_;
+  const SweepOptions& options_;
+  const std::vector<std::size_t>& pending_;
+  SweepCheckpoint& state_;
+  SweepReport& report_;
+  const std::size_t width_;
+  const std::size_t waves_total_;
+
+  std::atomic<std::size_t> next_{0};
+  std::atomic<bool> stop_{false};
+
+  // Guarded by mutex_ (or owned by the caller when running inline).
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<std::size_t> published_;
+  std::size_t done_ = 0;
+  std::size_t mark_;
+  std::size_t running_ = 0;
+  std::exception_ptr error_;
+
+  // Writer-only state.
+  std::uint64_t scenarios_run_ = 0;
+  double rate_ewma_ = 0.0;
+  std::chrono::steady_clock::time_point last_wake_;
+};
 
 /// run_experiment's body; a null pool runs every chunk on the calling
 /// thread.
@@ -243,18 +479,16 @@ SweepReport run_sweep(const ExperimentConfig& config,
     pending.resize(options.max_shards);
   }
 
-  const bool checkpointing = !options.checkpoint_path.empty();
-  const std::size_t wave_width =
+  const std::size_t width =
       options.checkpoint_every == 0 ? std::max<std::size_t>(1, pending.size())
                                     : options.checkpoint_every;
 
   // Progress feed for the streaming sink's heartbeat (obs/stream.cpp):
-  // cumulative sweep.progress.* counters plus per-wave gauges. Recording
-  // them is independent of whether a sink is attached, so a streaming run
-  // and a plain run execute identical instruction streams through the
-  // sweep itself — the aggregates stay bit-identical either way.
-  const std::size_t waves_total =
-      pending.empty() ? 0 : (pending.size() + wave_width - 1) / wave_width;
+  // cumulative sweep.progress.* counters plus per-interval gauges.
+  // Recording them is independent of whether a sink is attached, so a
+  // streaming run and a plain run execute identical instruction streams
+  // through the sweep itself — the aggregates stay bit-identical either way.
+  const std::size_t waves_total = (pending.size() + width - 1) / width;
   DSSLICE_GAUGE("sweep.progress.scenarios_total",
                 static_cast<std::int64_t>(options.scenario_count));
   DSSLICE_GAUGE("sweep.progress.waves_total",
@@ -276,81 +510,9 @@ SweepReport run_sweep(const ExperimentConfig& config,
                   static_cast<std::int64_t>(resumed_successes));
   }
 
-  const auto run_one_shard = [&](std::size_t shard) {
-    DSSLICE_SPAN("sweep.shard");
-    SweepAggregate aggregate;
-    const std::size_t first = shard * options.shard_size;
-    const std::size_t last =
-        std::min(first + options.shard_size, options.scenario_count);
-    evaluate_range(
-        config, first, last - first,
-        [&aggregate](std::size_t, const GraphOutcome& outcome) {
-          aggregate.add(outcome);
-        },
-        options.gen_chunk);
-    state.shards[shard] = aggregate;
-    state.completed[shard] = 1;
-    DSSLICE_COUNT("sweep.shards_completed", 1);
-  };
-
   const auto t0 = std::chrono::steady_clock::now();
-  std::size_t scenarios_run = 0;
-  double rate_ewma = 0.0;
-  for (std::size_t wave = 0; wave < pending.size(); wave += wave_width) {
-    const std::size_t wave_end = std::min(wave + wave_width, pending.size());
-    const auto wave_t0 = std::chrono::steady_clock::now();
-    parallel_for(pool, wave_end - wave, 1,
-                 [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t k = begin; k < end; ++k) {
-                     run_one_shard(pending[wave + k]);
-                   }
-                 });
-    const double wave_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wave_t0)
-            .count();
-    std::uint64_t wave_scenarios = 0;
-    std::uint64_t wave_successes = 0;
-    for (std::size_t k = wave; k < wave_end; ++k) {
-      wave_scenarios += state.shards[pending[k]].scenarios();
-      wave_successes += state.shards[pending[k]].success.successes();
-    }
-    scenarios_run += wave_scenarios;
-    report.shards_run += wave_end - wave;
-
-    const double wave_rate =
-        wave_seconds > 0.0
-            ? static_cast<double>(wave_scenarios) / wave_seconds
-            : 0.0;
-    rate_ewma = rate_ewma == 0.0 ? wave_rate
-                                 : 0.25 * wave_rate + 0.75 * rate_ewma;
-    DSSLICE_COUNT("sweep.progress.scenarios_done",
-                  static_cast<std::int64_t>(wave_scenarios));
-    DSSLICE_COUNT("sweep.progress.successes",
-                  static_cast<std::int64_t>(wave_successes));
-    DSSLICE_GAUGE("sweep.progress.wave",
-                  static_cast<std::int64_t>(wave / wave_width + 1));
-    DSSLICE_GAUGE("sweep.progress.shards_done",
-                  static_cast<std::int64_t>(report.shards_run +
-                                            report.shards_resumed));
-    DSSLICE_GAUGE("sweep.progress.scenarios_per_sec_ewma", rate_ewma);
-
-    if (checkpointing) {
-      DSSLICE_SPAN("sweep.checkpoint");
-      const auto save_t0 = std::chrono::steady_clock::now();
-      const std::size_t bytes =
-          save_sweep_checkpoint(state, options.checkpoint_path);
-      const double save_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - save_t0)
-              .count();
-      ++report.checkpoints_written;
-      DSSLICE_COUNT("sweep.checkpoints_written", 1);
-      DSSLICE_GAUGE("sweep.checkpoint.save_ms", save_ms);
-      DSSLICE_COUNT("sweep.checkpoint.bytes",
-                    static_cast<std::int64_t>(bytes));
-    }
-  }
+  ShardStream stream(config, options, pending, state, report, width);
+  const std::uint64_t scenarios_run = stream.run(pool);
   const auto t1 = std::chrono::steady_clock::now();
   report.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
 

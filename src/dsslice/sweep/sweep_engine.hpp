@@ -8,7 +8,8 @@
 // shards of `shard_size` consecutive scenario indices. A shard is the unit
 // of scheduling, aggregation and checkpointing:
 //
-//   - workers claim shards via the thread pool; within a shard,
+//   - min(pool size, pending shards) lanes on the thread pool claim shards
+//     from one atomic cursor — no barrier between shards; within a shard,
 //     evaluate_range generates scenarios in ScenarioBatch chunks
 //     (amortizing generator scratch), slices each chunk in one
 //     BatchSliceKernel pass and schedules every scenario with a per-thread
@@ -17,10 +18,15 @@
 //   - each shard folds its outcomes into its own SweepAggregate; the final
 //     result folds per-shard aggregates in shard-index order, so thread
 //     count and completion order cannot perturb a single bit;
-//   - shards are run in *waves* of `checkpoint_every`: after each wave
-//     barrier the engine persists the completed-shard bitmap plus per-shard
-//     aggregates (sweep/checkpoint.hpp). An interrupted sweep resumed from
-//     its checkpoint reproduces the uninterrupted aggregates bit-exactly.
+//   - the calling thread is the checkpoint writer: after every
+//     `checkpoint_every` newly completed shards it takes the completed set
+//     under the stream's lock, then persists the completed-shard bitmap
+//     plus per-shard aggregates (sweep/checkpoint.hpp) outside it while the
+//     lanes keep running; intervals that complete during a save fold into
+//     the next one. With a 1-worker pool shards and saves run inline on the
+//     caller. On return the file holds exactly the resumed shards plus this
+//     call's. An interrupted sweep resumed from its checkpoint reproduces
+//     the uninterrupted aggregates bit-exactly.
 //
 // Either driver's outcome for scenario k depends only on its derived seed,
 // so parallel and serial runs produce bit-identical aggregates.
@@ -45,8 +51,10 @@ struct SweepOptions {
   std::size_t shard_size = 1024;
   /// Scenarios generated per ScenarioBatch chunk within a shard.
   std::size_t gen_chunk = 64;
-  /// Checkpoint wave width in shards; 0 = one wave (checkpoint only at the
-  /// end, and only when checkpoint_path is set).
+  /// Save after every N newly completed shards (and once more at the end
+  /// unless the last save already holds every shard); 0 = save only at the
+  /// end. Only when checkpoint_path is set. Also the interval of the
+  /// sweep.progress.* gauges.
   std::size_t checkpoint_every = 0;
   /// Checkpoint file path; empty disables checkpointing entirely.
   std::string checkpoint_path;
@@ -73,6 +81,8 @@ struct SweepReport {
 
 /// Runs (or resumes) a sweep on the given pool. Throws ConfigError for
 /// invalid options or a checkpoint that does not match the configuration.
+/// A shard or save error stops the lanes from claiming more shards and is
+/// rethrown once every lane has returned.
 SweepReport run_sweep(const ExperimentConfig& config,
                       const SweepOptions& options, ThreadPool& pool);
 

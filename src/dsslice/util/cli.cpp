@@ -1,7 +1,9 @@
 #include "dsslice/util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "dsslice/util/check.hpp"
@@ -87,6 +89,19 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   DSSLICE_REQUIRE(end != nullptr && *end == '\0' && !s.empty(),
                   "flag --" + name + " is not an integer: " + s);
   return static_cast<std::int64_t>(v);
+}
+
+std::size_t CliParser::get_count(const std::string& name) const {
+  const std::string s = get_string(name);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  // strtoull accepts a leading '-' (and wraps), so digits only.
+  DSSLICE_REQUIRE(!s.empty() && s[0] >= '0' && s[0] <= '9' &&
+                      end != nullptr && *end == '\0' && errno != ERANGE &&
+                      v <= std::numeric_limits<std::size_t>::max(),
+                  "flag --" + name + " must be a non-negative integer: " + s);
+  return static_cast<std::size_t>(v);
 }
 
 double CliParser::get_double(const std::string& name) const {

@@ -5,6 +5,7 @@
 // handful of numeric knobs (graph count, processor count, seeds, ...).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -28,6 +29,9 @@ class CliParser {
 
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// A size or count: rejects a negative or non-integer value with
+  /// "flag --name must be a non-negative integer" (ConfigError).
+  std::size_t get_count(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   bool was_set(const std::string& name) const;

@@ -25,7 +25,8 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   cv_task_.notify_all();
-  // jthread joins on destruction.
+  // workers_ is destroyed first: each jthread joins before the members its
+  // loop uses go.
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -110,9 +111,9 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
   std::mutex error_mutex;
 
   const std::size_t lanes = std::min(pool.size(), chunks);
-  std::atomic<std::size_t> done_lanes{0};
   std::mutex done_mutex;
   std::condition_variable done_cv;
+  std::size_t done_lanes = 0;  // guarded by done_mutex
 
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     pool.submit([&] {
@@ -132,15 +133,18 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
           }
         }
       }
-      if (done_lanes.fetch_add(1) + 1 == lanes) {
-        std::lock_guard lock(done_mutex);
+      // Count and notify under the lock: the caller returns (destroying
+      // the mutex and condition variable) as soon as it can take the lock
+      // and sees every lane done, so no lane may touch them after that.
+      std::lock_guard lock(done_mutex);
+      if (++done_lanes == lanes) {
         done_cv.notify_all();
       }
     });
   }
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return done_lanes.load() == lanes; });
+  done_cv.wait(lock, [&] { return done_lanes == lanes; });
   if (first_error) {
     std::rethrow_exception(first_error);
   }

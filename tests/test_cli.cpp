@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <string>
+
 #include "dsslice/util/check.hpp"
 #include "dsslice/util/cli.hpp"
 
@@ -67,6 +71,38 @@ TEST(Cli, TypeErrorsThrow) {
   EXPECT_THROW(p.get_int("name"), ConfigError);
   EXPECT_THROW(p.get_double("name"), ConfigError);
   EXPECT_THROW(p.get_string("unregistered"), ConfigError);
+}
+
+TEST(Cli, GetCountAcceptsNonNegativeIntegers) {
+  CliParser p = make_parser();
+  const char* argv[] = {"prog", "--name", "0"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.get_count("graphs"), 1024u);
+  EXPECT_EQ(p.get_count("name"), 0u);
+  CliParser q = make_parser();
+  const char* big[] = {"prog", "--graphs=18446744073709551615"};
+  ASSERT_TRUE(q.parse(2, big));
+  EXPECT_EQ(q.get_count("graphs"), std::numeric_limits<std::size_t>::max());
+}
+
+// A negative count must not wrap to a huge size (it would reach the
+// engines as ~2^64 scenarios, shards or threads).
+TEST(Cli, GetCountRejectsNegativeAndNonIntegerValues) {
+  for (const char* bad : {"-1", "-0", " 5", "+5", "1.5", "", "abc", "12x",
+                          "99999999999999999999"}) {
+    CliParser p = make_parser();
+    const char* argv[] = {"prog", "--graphs", bad};
+    ASSERT_TRUE(p.parse(3, argv)) << bad;
+    try {
+      (void)p.get_count("graphs");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "flag --graphs must be a non-negative integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Cli, DuplicateRegistrationThrows) {

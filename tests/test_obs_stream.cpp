@@ -24,6 +24,7 @@
 #include "dsslice/sweep/checkpoint.hpp"
 #include "dsslice/sweep/sweep_engine.hpp"
 #include "dsslice/util/check.hpp"
+#include "dsslice/util/thread_pool.hpp"
 
 namespace dsslice {
 namespace {
@@ -380,14 +381,17 @@ TEST(ObsStreamParsers, StreamingJsonlDropsOnlyAPartialFinalLine) {
 
 // The sweep engine publishes live progress gauges and checkpoint cost
 // metrics whether or not a sink is attached (the sink only reads them).
+// A 4-thread pool: the shards stream through worker lanes while the
+// calling thread writes the checkpoints and the per-interval gauges.
 TEST(ObsStream, SweepProgressAndCheckpointMetricsRecorded) {
   ObsGuard guard;
   TempFile ckpt("progress.ckpt");
+  ThreadPool pool(4);
   obs::set_enabled(true);
   SweepOptions options = small_sweep_options();
   options.checkpoint_path = ckpt.path();
   options.checkpoint_every = 2;
-  const SweepReport report = run_sweep(sweep_config(), options);
+  const SweepReport report = run_sweep(sweep_config(), options, pool);
   obs::set_enabled(false);
 
   ASSERT_TRUE(report.complete);

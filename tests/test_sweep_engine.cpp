@@ -1,13 +1,18 @@
-// Sweep engine contracts: checkpoint round-trips are bit-exact, interrupted
-// sweeps resume bit-identically, thread count never perturbs aggregates, a
-// warm sweep allocates nothing, and malformed or mismatched checkpoints are
+// Sweep engine contracts: checkpoint round-trips are bit-exact and the
+// encoder's bytes are pinned, interrupted sweeps resume bit-identically,
+// the checkpoint on return holds exactly the completed shards, thread count
+// never perturbs aggregates, a failed save leaves the pool usable, a warm
+// sweep allocates nothing, and malformed or mismatched checkpoints are
 // rejected instead of silently mixing aggregates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "dsslice/gen/rng.hpp"
 #include "dsslice/sim/experiment.hpp"
@@ -15,6 +20,7 @@
 #include "dsslice/sweep/checkpoint.hpp"
 #include "dsslice/sweep/sweep_engine.hpp"
 #include "dsslice/util/check.hpp"
+#include "dsslice/util/stats.hpp"
 #include "dsslice/util/thread_pool.hpp"
 
 namespace dsslice {
@@ -91,6 +97,76 @@ TEST(SweepCheckpoint, SerializationRoundTripsBitExactly) {
   EXPECT_EQ(serialize_sweep_aggregate(restored.shards[0]),
             serialize_sweep_aggregate(original.shards[0]));
   EXPECT_EQ(restored.completed_count(), 1u);
+}
+
+/// A shard aggregate whose stat fields hold every special double the
+/// encoder must carry bit for bit (-0.0, +-inf, NaN, a tiny m2 with a
+/// leading-zero hex pattern), with non-zero underflow, overflow and
+/// histogram bins.
+SweepCheckpoint special_values_checkpoint() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SweepAggregate a;
+  a.success.add_many(7, 10);
+  a.min_laxity = RunningStats::from_state({10, -0.0, inf, -inf, nan, 12.5});
+  a.max_lateness =
+      RunningStats::from_state({3, 0.1, 1e-300, -2.75, -inf, inf});
+  a.makespan =
+      RunningStats::from_state({7, 123.456, 0.0, 864.192, 100.0, 150.0});
+  a.slicing_passes =
+      RunningStats::from_state({10, 1.5, 2.25, 15.0, 0.0, 3.0});
+  a.task_count =
+      RunningStats::from_state({10, 47.0, 5e10, 470.0, 40.0, 59.0});
+  std::array<std::uint64_t, LinearHistogram::kBinCount> bins{};
+  bins[0] = 1;
+  bins[17] = 2;
+  bins[63] = 3;
+  a.laxity = LinearHistogram(-200.0, 440.0);
+  LinearHistogramAccess::restore(a.laxity, 1, 3, bins);
+  SweepCheckpoint cp;
+  cp.fingerprint = 0xFEDCBA9876543210ull;
+  cp.scenario_count = 25;
+  cp.shard_size = 10;
+  cp.completed = {0, 1, 0};
+  cp.shards.resize(3);
+  cp.shards[1] = a;
+  return cp;
+}
+
+// The checkpoint text is a file format: resumes read files written by
+// earlier builds, so the encoder must reproduce this text byte for byte.
+// The golden was captured from the ostringstream/snprintf encoder.
+TEST(SweepCheckpoint, EncoderMatchesGoldenTextByteForByte) {
+  const std::string aggregate_text =
+      "success 7 10\n"
+      "stat min_laxity 10 8000000000000000 7ff0000000000000 "
+      "fff0000000000000 7ff8000000000000 4029000000000000\n"
+      "stat max_lateness 3 3fb999999999999a 01a56e1fc2f8f359 "
+      "c006000000000000 fff0000000000000 7ff0000000000000\n"
+      "stat makespan 7 405edd2f1a9fbe77 0000000000000000 "
+      "408b0189374bc6a8 4059000000000000 4062c00000000000\n"
+      "stat slicing_passes 10 3ff8000000000000 4002000000000000 "
+      "402e000000000000 0000000000000000 4008000000000000\n"
+      "stat task_count 10 4047800000000000 42274876e8000000 "
+      "407d600000000000 4044000000000000 404d800000000000\n"
+      "hist c069000000000000 407b800000000000 1 3 1 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 3\n";
+  const std::string checkpoint_text =
+      "dsslice-sweep-checkpoint 1\n"
+      "fingerprint 18364758544493064720\n"
+      "scenarios 25\n"
+      "shard-size 10\n"
+      "shard-count 3\n"
+      "completed 1\n"
+      "shard 1\n" +
+      aggregate_text + "end\n";
+  const SweepCheckpoint cp = special_values_checkpoint();
+  EXPECT_EQ(serialize_sweep_aggregate(cp.shards[1]), aggregate_text);
+  EXPECT_EQ(serialize_sweep_checkpoint(cp), checkpoint_text);
+  // And the special values survive a parse: text -> struct -> text.
+  EXPECT_EQ(serialize_sweep_checkpoint(parse_sweep_checkpoint(checkpoint_text)),
+            checkpoint_text);
 }
 
 TEST(SweepCheckpoint, SaveLoadRoundTrip) {
@@ -292,6 +368,120 @@ TEST(SweepEngine, BatchKernelDoesNotChangeAggregateBits) {
                   scalar_sweep_fold(config, small_options())))
         << "technique " << to_string(technique);
   }
+}
+
+/// 20 shards of 4 scenarios: enough shards for every interval width below
+/// to leave a partial last interval.
+SweepOptions stream_options() {
+  SweepOptions options;
+  options.scenario_count = 80;
+  options.shard_size = 4;
+  options.gen_chunk = 4;
+  return options;
+}
+
+// Shards stream through the pool's lanes while the calling thread saves at
+// interval boundaries. Whatever the lane count, interval width and
+// interruption point, the file on return holds exactly the shards this
+// call completed (each bit-identical to its reference aggregate), and
+// resuming from it reproduces the uninterrupted sweep to the last bit.
+TEST(SweepEngine, CheckpointHoldsExactlyTheCompletedShards) {
+  const ExperimentConfig config = sweep_config();
+  const SweepOptions base = stream_options();
+  const std::size_t shard_count = 20;
+  std::vector<std::string> reference(shard_count);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    SweepAggregate shard;
+    for (std::size_t k = s * base.shard_size; k < (s + 1) * base.shard_size;
+         ++k) {
+      shard.add(evaluate_scenario(
+          config, derive_seed(config.generator.base_seed, k)));
+    }
+    reference[s] = serialize_sweep_aggregate(shard);
+  }
+  ThreadPool serial(1);
+  const std::string whole =
+      serialize_sweep_aggregate(run_sweep(config, base, serial).aggregate);
+
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t every : {1u, 2u, 5u}) {
+      for (const std::size_t max_shards : {0u, 7u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " every " +
+                     std::to_string(every) + " max_shards " +
+                     std::to_string(max_shards));
+        TempCheckpoint tmp("stream");
+        SweepOptions options = base;
+        options.checkpoint_path = tmp.path();
+        options.checkpoint_every = every;
+        options.max_shards = max_shards;
+        const SweepReport first = run_sweep(config, options, pool);
+        const std::size_t ran = max_shards == 0 ? shard_count : max_shards;
+        EXPECT_EQ(first.shards_run, ran);
+        EXPECT_EQ(first.complete, ran == shard_count);
+        const std::size_t intervals = (ran + every - 1) / every;
+        if (threads == 1) {
+          // Inline saves land on every interval boundary.
+          EXPECT_EQ(first.checkpoints_written, intervals);
+        } else {
+          // Intervals that complete during a save fold into the next one.
+          EXPECT_GE(first.checkpoints_written, 1u);
+          EXPECT_LE(first.checkpoints_written, intervals);
+        }
+
+        const SweepCheckpoint saved = load_sweep_checkpoint(tmp.path());
+        ASSERT_EQ(saved.shard_count(), shard_count);
+        EXPECT_EQ(saved.completed_count(), ran);
+        for (std::size_t s = 0; s < shard_count; ++s) {
+          EXPECT_EQ(saved.completed[s] != 0, s < ran) << "shard " << s;
+          if (saved.completed[s] != 0) {
+            EXPECT_EQ(serialize_sweep_aggregate(saved.shards[s]),
+                      reference[s])
+                << "shard " << s;
+          }
+        }
+
+        SweepOptions resume = options;
+        resume.max_shards = 0;
+        resume.resume = true;
+        const SweepReport rest = run_sweep(config, resume, pool);
+        EXPECT_TRUE(rest.complete);
+        EXPECT_EQ(rest.shards_resumed, ran);
+        EXPECT_EQ(rest.shards_run, shard_count - ran);
+        EXPECT_EQ(serialize_sweep_aggregate(rest.aggregate), whole);
+        EXPECT_EQ(load_sweep_checkpoint(tmp.path()).completed_count(),
+                  shard_count);
+      }
+    }
+  }
+}
+
+// A save that fails (its directory does not exist) stops the lanes and
+// surfaces as ConfigError only after every lane has returned: the same
+// pool then runs a clean sweep bit-identical to a 1-thread run, so no lane
+// leaked, wedged or kept a claim on the pool.
+TEST(SweepEngine, SaveFailureStopsTheStreamAndLeavesThePoolUsable) {
+  const ExperimentConfig config = sweep_config();
+  ThreadPool pool(4);
+  const std::string missing =
+      (std::filesystem::temp_directory_path() / "dsslice_no_such_dir" /
+       "sweep.ckpt")
+          .string();
+  ASSERT_FALSE(std::filesystem::exists(
+      std::filesystem::path(missing).parent_path()));
+  for (const std::size_t every : {0u, 1u, 3u}) {
+    SweepOptions options = stream_options();
+    options.checkpoint_path = missing;
+    options.checkpoint_every = every;
+    EXPECT_THROW(run_sweep(config, options, pool), ConfigError)
+        << "every " << every;
+  }
+  ThreadPool serial(1);
+  EXPECT_EQ(
+      serialize_sweep_aggregate(
+          run_sweep(config, stream_options(), pool).aggregate),
+      serialize_sweep_aggregate(
+          run_sweep(config, stream_options(), serial).aggregate));
 }
 
 TEST(SweepEngine, RejectsFingerprintMismatchOnResume) {

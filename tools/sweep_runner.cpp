@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   cli.add_flag("gen-chunk", "64", "scenarios generated per batch call");
   cli.add_flag("checkpoint", "", "checkpoint file (empty: no checkpointing)");
   cli.add_flag("checkpoint-every", "0",
-               "write a checkpoint every N shards (0: once at the end)");
+               "write a checkpoint after every N completed shards "
+               "(0: once at the end)");
   cli.add_bool_flag("resume", "resume from the checkpoint file if it exists");
   cli.add_flag("max-shards", "0",
                "stop after N shards (0: run to completion; use with "
@@ -50,16 +51,15 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("seed"));
 
   SweepOptions options;
-  options.scenario_count = static_cast<std::size_t>(cli.get_int("scenarios"));
-  options.shard_size = static_cast<std::size_t>(cli.get_int("shard-size"));
-  options.gen_chunk = static_cast<std::size_t>(cli.get_int("gen-chunk"));
+  options.scenario_count = cli.get_count("scenarios");
+  options.shard_size = cli.get_count("shard-size");
+  options.gen_chunk = cli.get_count("gen-chunk");
   options.checkpoint_path = cli.get_string("checkpoint");
-  options.checkpoint_every =
-      static_cast<std::size_t>(cli.get_int("checkpoint-every"));
+  options.checkpoint_every = cli.get_count("checkpoint-every");
   options.resume = cli.get_bool("resume");
-  options.max_shards = static_cast<std::size_t>(cli.get_int("max-shards"));
+  options.max_shards = cli.get_count("max-shards");
 
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
+  const auto threads = cli.get_count("threads");
   try {
     SweepReport report;
     if (threads == 0) {
